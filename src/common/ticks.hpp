@@ -22,7 +22,7 @@ std::uint64_t lcm_of(const std::vector<std::uint64_t>& values);
 /// Monotonic timestamp in integer nanoseconds since an arbitrary process
 /// epoch. This is the *only* sanctioned time source outside src/obs: it is
 /// monotonic (never wall-clock, never adjusted), so reading it cannot leak
-/// nondeterminism into decisions, and pamo_lint's wall-clock rule bans the
+/// nondeterminism into decisions, and pamo_analyze's wall-clock rule bans the
 /// raw std::chrono clocks everywhere else. Timing consumers (obs::Span,
 /// bo::EpochWatchdog, benches) difference two reads.
 std::uint64_t monotonic_ns();

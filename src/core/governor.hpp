@@ -31,7 +31,7 @@
 // admit/defer/shed/release decision is logged as a structured
 // GovernorAction (the churn-side sibling of the RepairAction log), and
 // mutations of the admitted set always emit their action first — enforced
-// by the `governor-action` pamo_lint rule.
+// by the `governor-action` pamo_analyze rule.
 #pragma once
 
 #include <cstdint>

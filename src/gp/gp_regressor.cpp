@@ -173,7 +173,7 @@ void GpRegressor::update(const std::vector<std::vector<double>>& x,
   };
   const bool eligible = options_.incremental && !want_mle && !drift_fired &&
                         !options_.robust_noise && chol_.has_value() &&
-                        chol_->jitter() == 0.0 &&  // pamo-lint: allow(float-eq)
+                        chol_->jitter() == 0.0 &&  // pamo-analyze: allow(float-eq)
                         !xs.empty() && inside_box(xs);
   // The sparse system's inducing set and input scaling are frozen across
   // incremental updates; a drift fire or an out-of-box row re-solves (and
@@ -406,7 +406,7 @@ bool GpRegressor::reweight_outliers() {
     if (target > noise_scale_[i]) {
       // Scale is exactly 1.0 until the first inflation: this counts each
       // point at most once across the reweighting rounds.
-      if (noise_scale_[i] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-lint: allow(float-eq)
+      if (noise_scale_[i] == 1.0) ++diagnostics_.outliers_downweighted;  // pamo-analyze: allow(float-eq)
       noise_scale_[i] = target;
       changed = true;
     }

@@ -10,7 +10,7 @@
 //     histograms. Registration is mutex-protected and storage is an
 //     ordered map, so exports iterate in one fixed (lexicographic) order
 //     regardless of which thread touched a metric first — never an
-//     unordered container (pamo_lint forbids those on decision paths, and
+//     unordered container (pamo_analyze forbids those on decision paths, and
 //     telemetry feeds decisions). Updates are lock-free atomics, safe from
 //     inside common::ThreadPool workers. Counter adds and histogram bucket
 //     counts are integer accumulations, and min/max fold with CAS loops,

@@ -35,7 +35,7 @@ void expect_identical(const la::Matrix& a, const la::Matrix& b) {
   ASSERT_EQ(a.cols(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(a(i, j), b(i, j))  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(a(i, j), b(i, j))  // pamo-analyze: allow(float-eq)
           << "mismatch at (" << i << ", " << j << ")";
     }
   }
@@ -69,7 +69,7 @@ TEST(ParallelEquivalence, AcquisitionScoresMatchAcrossThreadCounts) {
     });
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t c = 0; c < serial.size(); ++c) {
-      EXPECT_EQ(serial[c], parallel[c])  // pamo-lint: allow(float-eq)
+      EXPECT_EQ(serial[c], parallel[c])  // pamo-analyze: allow(float-eq)
           << acquisition_name(type) << " candidate " << c;
     }
   }
@@ -154,15 +154,15 @@ TEST(ParallelEquivalence, BoMaximizeTraceMatchesAcrossThreadCounts) {
   const bo::BoResult parallel = run_bo(8);
   EXPECT_EQ(serial.evaluations, parallel.evaluations);
   EXPECT_EQ(serial.iterations, parallel.iterations);
-  // pamo-lint: allow(float-eq)
+  // pamo-analyze: allow(float-eq)
   EXPECT_EQ(serial.best_value, parallel.best_value);
   ASSERT_EQ(serial.best_x.size(), parallel.best_x.size());
   for (std::size_t i = 0; i < serial.best_x.size(); ++i) {
-    EXPECT_EQ(serial.best_x[i], parallel.best_x[i]);  // pamo-lint: allow(float-eq)
+    EXPECT_EQ(serial.best_x[i], parallel.best_x[i]);  // pamo-analyze: allow(float-eq)
   }
   ASSERT_EQ(serial.trace.size(), parallel.trace.size());
   for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-    EXPECT_EQ(serial.trace[i], parallel.trace[i]);  // pamo-lint: allow(float-eq)
+    EXPECT_EQ(serial.trace[i], parallel.trace[i]);  // pamo-analyze: allow(float-eq)
   }
 }
 

@@ -1,7 +1,9 @@
-// Tests for the pamo_analyze cross-file analysis engine and the shared
+// Tests for the pamo_analyze engine — both rule families — and the shared
 // tokenizer it is built on. Fixtures are in-memory SourceFile trees handed
-// to analyze_tree; the tokenizer tests pin the geometry-preservation
-// property every downstream line number depends on.
+// to analyze_tree (a one-file tree for the per-file rules, with paths that
+// exercise the path-scoping logic); every rule has a positive (fires) and a
+// negative (stays quiet) fixture. The tokenizer tests pin the
+// geometry-preservation property every downstream line number depends on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,31 @@ namespace {
 bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
   return std::any_of(findings.begin(), findings.end(),
                      [&](const Finding& f) { return f.rule == rule; });
+}
+
+/// The findings of one rule, for fixtures that also trip a rule of the
+/// other family (a fixture header without #pragma once, say).
+std::vector<Finding> only(const std::vector<Finding>& findings,
+                          const std::string& rule) {
+  std::vector<Finding> out;
+  for (const auto& f : findings) {
+    if (f.rule == rule) out.push_back(f);
+  }
+  return out;
+}
+
+std::vector<std::string> rules_hit(const std::vector<Finding>& findings) {
+  std::vector<std::string> rules;
+  rules.reserve(findings.size());
+  for (const auto& f : findings) rules.push_back(f.rule);
+  return rules;
+}
+
+/// A one-file tree: how the per-file fixtures run through the single API.
+std::vector<Finding> analyze_file(const std::string& path,
+                                  const std::string& content,
+                                  const Options& options = {}) {
+  return analyze_tree({{path, content}}, options);
 }
 
 std::size_t count_rule(const std::vector<Finding>& findings,
@@ -254,6 +281,505 @@ TEST(AnalyzeIndex, DirectivesParsedFromCommentsOnly) {
   EXPECT_EQ(fi.allows.count(3), 0u);
 }
 
+// ==== per-file family (suite PamoLint) =====================================
+
+TEST(PamoLint, RuleListIsStableAndComplete) {
+  const auto& ids = rule_ids();
+  ASSERT_EQ(ids.size(), 17u);
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "determinism-rng"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "float-eq"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "pragma-once"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "raw-thread"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "wall-clock"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "unchecked-file-write"),
+            ids.end());
+  // Appended per-file rules land at the end of their family: the report
+  // order is a stable API.
+  EXPECT_EQ(ids[12], "governor-action");
+}
+
+// ---- determinism-rng ------------------------------------------------------
+
+TEST(PamoLint, FlagsStdRandAndRandomDevice) {
+  const std::string source =
+      "#include <cstdlib>\n"
+      "int f() { return std::rand(); }\n"
+      "int g() { std::random_device rd; return int(rd()); }\n"
+      "int h() { std::mt19937 gen(7); return int(gen()); }\n";
+  const auto rules = rules_hit(analyze_file("src/eva/fixture.cpp", source));
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "determinism-rng"), 3);
+}
+
+TEST(PamoLint, PamoRngIsNotFlagged) {
+  const std::string source =
+      "#include \"common/rng.hpp\"\n"
+      "double f(pamo::Rng& rng) { return rng.uniform(); }\n"
+      "pamo::Rng forked(const pamo::Rng& rng) { return rng.fork(3); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/eva/fixture.cpp", source),
+                        "determinism-rng"));
+}
+
+TEST(PamoLint, CommentsAndStringsDoNotTriggerRules) {
+  const std::string source =
+      "// std::rand() is banned here\n"
+      "/* so is std::random_device */\n"
+      "const char* kDoc = \"call std::rand()\";\n";
+  EXPECT_TRUE(analyze_file("src/eva/fixture.cpp", source).empty());
+}
+
+// ---- time-seeded-rng ------------------------------------------------------
+
+TEST(PamoLint, FlagsClockSeededRng) {
+  const std::string source =
+      "#include <chrono>\n"
+      "pamo::Rng make() {\n"
+      "  auto seed = std::chrono::steady_clock::now().time_since_epoch()"
+      ".count();\n"
+      "  return pamo::Rng(uint64_t(seed));\n"
+      "}\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/eva/fixture.cpp", source),
+                       "time-seeded-rng"));
+}
+
+TEST(PamoLint, PlainClockUseIsNotASeed) {
+  // bo::EpochWatchdog legitimately reads steady_clock for its wall-clock
+  // deadline — no RNG involved, so the rule must stay quiet.
+  const std::string source =
+      "void arm() { start_ = std::chrono::steady_clock::now(); }\n";
+  EXPECT_TRUE(analyze_file("src/bo/fixture.cpp", source).empty());
+}
+
+// ---- unordered-iter -------------------------------------------------------
+
+TEST(PamoLint, FlagsRangeForOverUnorderedInSchedulingPath) {
+  const std::string source =
+      "#include <unordered_map>\n"
+      "std::unordered_map<int, double> weights_;\n"
+      "double total() {\n"
+      "  double sum = 0.0;\n"
+      "  for (const auto& [k, v] : weights_) sum += v;\n"
+      "  return sum;\n"
+      "}\n";
+  const auto findings = analyze_file("src/sched/fixture.cpp", source);
+  EXPECT_TRUE(has_rule(findings, "unordered-iter"));
+}
+
+TEST(PamoLint, UnorderedIterationOutsideSchedulingPathIsAllowed) {
+  const std::string source =
+      "#include <unordered_map>\n"
+      "std::unordered_map<int, double> weights_;\n"
+      "double total() {\n"
+      "  double sum = 0.0;\n"
+      "  for (const auto& [k, v] : weights_) sum += v;\n"
+      "  return sum;\n"
+      "}\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/eva/fixture.cpp", source),
+                        "unordered-iter"));
+}
+
+TEST(PamoLint, OrderedIterationIsAllowedInSchedulingPath) {
+  const std::string source =
+      "#include <map>\n"
+      "std::map<int, double> weights_;\n"
+      "std::unordered_map<int, double> index_;\n"
+      "double total() {\n"
+      "  double sum = index_.count(0) ? 1.0 : 0.0;\n"
+      "  for (const auto& [k, v] : weights_) sum += v;\n"
+      "  return sum;\n"
+      "}\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/sched/fixture.cpp", source),
+                        "unordered-iter"));
+}
+
+// ---- throw-discipline -----------------------------------------------------
+
+TEST(PamoLint, FlagsForeignExceptionTypesInSrc) {
+  const std::string source =
+      "#include <stdexcept>\n"
+      "void f() { throw std::runtime_error(\"boom\"); }\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/gp/fixture.cpp", source),
+                       "throw-discipline"));
+}
+
+TEST(PamoLint, PamoErrorAndBareRethrowAreAllowed) {
+  const std::string source =
+      "void f() { throw pamo::Error(\"boom\"); }\n"
+      "void g() { throw Error(\"boom\"); }\n"
+      "void h() { try { f(); } catch (const Error&) { throw; } }\n"
+      "void k(std::exception_ptr p) { std::rethrow_exception(p); }\n";
+  EXPECT_TRUE(analyze_file("src/gp/fixture.cpp", source).empty());
+}
+
+TEST(PamoLint, ThrowDisciplineDoesNotApplyToTests) {
+  const std::string source =
+      "void f() { throw std::runtime_error(\"test-only\"); }\n";
+  EXPECT_TRUE(analyze_file("tests/gp/fixture.cpp", source).empty());
+}
+
+// ---- catch-all-swallow ----------------------------------------------------
+
+TEST(PamoLint, FlagsSwallowingCatchAll) {
+  const std::string source =
+      "int f() {\n"
+      "  try { return g(); } catch (...) {\n"
+      "    return -1;\n"
+      "  }\n"
+      "}\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/core/fixture.cpp", source),
+                       "catch-all-swallow"));
+}
+
+TEST(PamoLint, CatchAllThatCapturesOrRethrowsIsAllowed) {
+  const std::string source =
+      "void f() {\n"
+      "  try { g(); } catch (...) { error = std::current_exception(); }\n"
+      "  try { g(); } catch (...) { cleanup(); throw; }\n"
+      "}\n";
+  EXPECT_TRUE(analyze_file("src/core/fixture.cpp", source).empty());
+}
+
+// ---- float-eq -------------------------------------------------------------
+
+TEST(PamoLint, FlagsFloatLiteralComparisons) {
+  const std::string source =
+      "bool f(double x) { return x == 0.0; }\n"
+      "bool g(double x) { return 1.5f != x; }\n"
+      "bool h(double x) { return x == 1e-6; }\n";
+  const auto rules = rules_hit(analyze_file("src/la/fixture.cpp", source));
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "float-eq"), 3);
+}
+
+TEST(PamoLint, IntegerComparisonsAndInequalitiesAreAllowed) {
+  const std::string source =
+      "bool f(int x) { return x == 2; }\n"
+      "bool g(double x) { return x <= 0.5; }\n"
+      "bool h(double x) { return x >= 1.0 && x < 2.0; }\n"
+      "bool k(std::size_t n) { return n != 10; }\n";
+  EXPECT_TRUE(analyze_file("src/la/fixture.cpp", source).empty());
+}
+
+// ---- unchecked-front-back -------------------------------------------------
+
+TEST(PamoLint, FlagsUncheckedFrontInSchedulingPath) {
+  const std::string source =
+      "double f(const std::vector<double>& v) {\n"
+      "  return v.front();\n"
+      "}\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/sim/fixture.cpp", source),
+                       "unchecked-front-back"));
+}
+
+TEST(PamoLint, GuardedFrontBackIsAllowed) {
+  const std::string source =
+      "double f(const std::vector<double>& v) {\n"
+      "  if (v.empty()) return 0.0;\n"
+      "  return v.front() + v.back();\n"
+      "}\n"
+      "double g(std::vector<double>& v) {\n"
+      "  v.push_back(1.0);\n"
+      "  return v.back();\n"
+      "}\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/sim/fixture.cpp", source),
+                        "unchecked-front-back"));
+}
+
+// ---- header hygiene -------------------------------------------------------
+
+TEST(PamoLint, FlagsHeaderWithoutPragmaOnce) {
+  const auto findings = analyze_file("src/eva/fixture.hpp", "int x = 0;\n");
+  ASSERT_TRUE(has_rule(findings, "pragma-once"));
+  EXPECT_EQ(findings.front().line, 1u);
+}
+
+TEST(PamoLint, FlagsUsingNamespaceInHeader) {
+  const std::string source =
+      "#pragma once\n"
+      "using namespace std;\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/eva/fixture.hpp", source),
+                       "using-namespace-header"));
+}
+
+TEST(PamoLint, HeaderRulesDoNotApplyToCpp) {
+  const std::string source = "using namespace std;\n";
+  EXPECT_TRUE(analyze_file("src/eva/fixture.cpp", source).empty());
+}
+
+// ---- raw-thread -----------------------------------------------------------
+
+TEST(PamoLint, FlagsDirectThreadConstructionInSrc) {
+  const std::string source =
+      "#include <thread>\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n"
+      "void spawn2() { std::jthread t([] {}); }\n";
+  const auto rules = rules_hit(analyze_file("src/eva/fixture.cpp", source));
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "raw-thread"), 2);
+}
+
+TEST(PamoLint, ThreadPoolImplementationMayOwnThreads) {
+  const std::string source =
+      "#include <thread>\n"
+      "std::vector<std::thread> workers_;\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/common/thread_pool.cpp", source),
+                        "raw-thread"));
+  EXPECT_FALSE(has_rule(analyze_file("src/common/thread_pool.hpp", source),
+                        "raw-thread"));
+}
+
+TEST(PamoLint, StaticThreadQueriesAreNotFlagged) {
+  const std::string source =
+      "#include <thread>\n"
+      "unsigned n() { return std::thread::hardware_concurrency(); }\n"
+      "auto id() { return std::this_thread::get_id(); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/eva/fixture.cpp", source),
+                        "raw-thread"));
+}
+
+TEST(PamoLint, RawThreadOutsideSrcIsAllowed) {
+  const std::string source =
+      "#include <thread>\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("tests/common/fixture.cpp", source),
+                        "raw-thread"));
+}
+
+// ---- wall-clock -----------------------------------------------------------
+
+TEST(PamoLint, FlagsWallClockReadsInSrc) {
+  const std::string source =
+      "#include <chrono>\n"
+      "auto a() { return std::chrono::system_clock::now(); }\n"
+      "long b() { return time(nullptr); }\n"
+      "void c(timeval* tv) { gettimeofday(tv, nullptr); }\n"
+      "tm* d(const time_t* t) { return localtime(t); }\n"
+      "void e(timespec* ts) { clock_gettime(CLOCK_REALTIME, ts); }\n";
+  const auto rules = rules_hit(analyze_file("src/eva/fixture.cpp", source));
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "wall-clock"), 5);
+}
+
+TEST(PamoLint, MonotonicClocksAndTimeLikeNamesAreAllowed) {
+  const std::string source =
+      "#include <chrono>\n"
+      "auto a() { return std::chrono::steady_clock::now(); }\n"
+      "double b(double x) { return proc_time(x) + elapsed_time(x); }\n"
+      "double c(const Frame& f) { return f.start_time; }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/sim/fixture.cpp", source),
+                        "wall-clock"));
+}
+
+TEST(PamoLint, ObsAndTicksMayReadWallClock) {
+  const std::string source =
+      "#include <chrono>\n"
+      "auto stamp() { return std::chrono::system_clock::now(); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/obs/obs.cpp", source),
+                        "wall-clock"));
+  EXPECT_FALSE(has_rule(analyze_file("src/common/ticks.cpp", source),
+                        "wall-clock"));
+  EXPECT_FALSE(has_rule(analyze_file("tests/common/fixture.cpp", source),
+                        "wall-clock"));
+}
+
+// ---- unchecked-file-write -------------------------------------------------
+
+TEST(PamoLint, FlagsStreamWritersInLibraryCode) {
+  const std::string source =
+      "#include <fstream>\n"
+      "void a(const std::string& p) { std::ofstream out(p); out << 1; }\n"
+      "void b(const std::string& p) { std::fstream f(p); }\n"
+      "void c(const char* p) { FILE* f = fopen(p, \"w\"); (void)f; }\n";
+  const auto rules = rules_hit(analyze_file("src/core/fixture.cpp", source));
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "unchecked-file-write"), 3);
+}
+
+TEST(PamoLint, ReadsAndNonLibraryWritersAreAllowed) {
+  const std::string source =
+      "#include <fstream>\n"
+      "std::string a(const std::string& p) { std::ifstream in(p); return {}; }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/core/fixture.cpp", source),
+                        "unchecked-file-write"));
+  const std::string writer =
+      "#include <fstream>\n"
+      "void w(const std::string& p) { std::ofstream out(p); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("tools/fixture.cpp", writer),
+                        "unchecked-file-write"));
+  EXPECT_FALSE(has_rule(analyze_file("bench/fixture.cpp", writer),
+                        "unchecked-file-write"));
+}
+
+TEST(PamoLint, AtomicIoIsTheSanctionedWriter) {
+  const std::string source =
+      "#include <fstream>\n"
+      "void w(const std::string& p) { std::ofstream out(p); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/ckpt/atomic_io.cpp", source),
+                        "unchecked-file-write"));
+}
+
+TEST(PamoLint, UncheckedFileWriteIsSuppressible) {
+  const std::string source =
+      "#include <fstream>\n"
+      "// pamo-analyze: allow(unchecked-file-write)\n"
+      "void w(const std::string& p) { std::ofstream out(p); }\n";
+  EXPECT_TRUE(analyze_file("src/core/fixture.cpp", source).empty());
+}
+
+// ---- governor-action ------------------------------------------------------
+
+TEST(PamoLint, FlagsUnloggedAdmittedSetMutationInCore) {
+  const std::string source =
+      "void Governor::force_admit(std::uint64_t id) {\n"
+      "  admitted_.push_back(id);\n"
+      "}\n"
+      "void Governor::swap_in(std::vector<std::uint64_t> next) {\n"
+      "  admitted_ = std::move(next);\n"
+      "}\n";
+  const auto rules = rules_hit(analyze_file("src/core/fixture.cpp", source));
+  EXPECT_EQ(std::count(rules.begin(), rules.end(), "governor-action"), 2);
+}
+
+TEST(PamoLint, LoggedAdmittedSetMutationIsAllowed) {
+  const std::string source =
+      "void Governor::admit(GovernorPlan& plan, std::uint64_t id) {\n"
+      "  record_action(plan, epoch_, id, GovernorDecision::kAdmit, \"ok\");\n"
+      "  admitted_.push_back(id);\n"
+      "}\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/core/fixture.cpp", source),
+                        "governor-action"));
+}
+
+TEST(PamoLint, AdmittedReadsAndLookalikeNamesAreNotMutations) {
+  const std::string source =
+      "bool Governor::incumbent(std::uint64_t id) const {\n"
+      "  return std::binary_search(admitted_.begin(), admitted_.end(), id);\n"
+      "}\n"
+      "void Governor::finish(GovernorPlan& plan) {\n"
+      "  plan.admitted_count = admitted_.size();\n"
+      "  plan.admitted_load = load_sum_;\n"
+      "  next_admitted.push_back(7);\n"
+      "}\n";
+  EXPECT_TRUE(analyze_file("src/core/fixture.cpp", source).empty());
+}
+
+TEST(PamoLint, GovernorActionDoesNotApplyOutsideCore) {
+  const std::string source =
+      "void Fixture::reset() { admitted_.clear(); }\n";
+  EXPECT_FALSE(has_rule(analyze_file("src/eva/fixture.cpp", source),
+                        "governor-action"));
+  EXPECT_FALSE(has_rule(analyze_file("tests/core/fixture.cpp", source),
+                        "governor-action"));
+}
+
+TEST(PamoLint, GovernorActionIsSuppressibleForStateRebuild) {
+  const std::string source =
+      "void Governor::restore() {\n"
+      "  admitted_.clear();  // pamo-analyze: allow(governor-action)\n"
+      "}\n";
+  EXPECT_TRUE(analyze_file("src/core/fixture.cpp", source).empty());
+}
+
+// ---- suppressions ---------------------------------------------------------
+
+TEST(PamoLint, SameLineSuppressionSilencesFinding) {
+  const std::string source =
+      "bool f(double x) { return x == 0.0; }"
+      "  // pamo-analyze: allow(float-eq)\n";
+  EXPECT_TRUE(analyze_file("src/la/fixture.cpp", source).empty());
+}
+
+TEST(PamoLint, PreviousLineSuppressionSilencesFinding) {
+  const std::string source =
+      "// pamo-analyze: allow(float-eq)\n"
+      "bool f(double x) { return x == 0.0; }\n";
+  EXPECT_TRUE(analyze_file("src/la/fixture.cpp", source).empty());
+}
+
+TEST(PamoLint, SuppressionIsRuleSpecific) {
+  const std::string source =
+      "// pamo-analyze: allow(determinism-rng)\n"
+      "bool f(double x) { return x == 0.0; }\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/la/fixture.cpp", source), "float-eq"));
+}
+
+TEST(PamoLint, IncludeSuppressedKeepsAndMarksFinding) {
+  Options options;
+  options.include_suppressed = true;
+  const std::string source =
+      "bool f(double x) { return x == 0.0; }"
+      "  // pamo-analyze: allow(float-eq)\n";
+  const auto findings = analyze_file("src/la/fixture.cpp", source, options);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_TRUE(findings.front().suppressed);
+}
+
+TEST(PamoLint, SuppressionInsideStringLiteralIsInert) {
+  // The allow directive lives in a string literal, not a comment; it must
+  // not silence the float-eq on the next line (it used to, when
+  // suppressions were scanned over raw source text).
+  const std::string source =
+      "const char* doc = \"pamo-analyze: allow(float-eq)\";\n"
+      "bool f(double x) { return x == 0.0; }\n";
+  EXPECT_TRUE(has_rule(analyze_file("src/la/fixture.cpp", source), "float-eq"));
+}
+
+TEST(PamoLint, MultiRuleSuppressionList) {
+  const std::string source =
+      "bool f(double x) { return x == 0.0; }"
+      "  // pamo-analyze: allow(float-eq, determinism-rng)\n";
+  EXPECT_TRUE(analyze_file("src/la/fixture.cpp", source).empty());
+}
+
+// ---- report formats -------------------------------------------------------
+
+TEST(PamoLint, TextReportCarriesLocationAndRule) {
+  const auto findings = analyze_file("src/la/fixture.cpp",
+                                     "bool f(double x) { return x == 0.0; }\n");
+  const std::string text = to_text(findings);
+  EXPECT_NE(text.find("src/la/fixture.cpp:1"), std::string::npos);
+  EXPECT_NE(text.find("[float-eq]"), std::string::npos);
+}
+
+TEST(PamoLint, JsonReportIsMachineReadable) {
+  const auto findings = analyze_file("src/la/fixture.cpp",
+                                     "bool f(double x) { return x == 0.0; }\n");
+  const std::string json = to_json(findings);
+  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"rule\":\"float-eq\""), std::string::npos);
+  EXPECT_NE(json.find("\"line\":1"), std::string::npos);
+  EXPECT_EQ(to_json({}).find("{\"findings\":[],\"count\":0}"), 0u);
+}
+
+// ---- stripping ------------------------------------------------------------
+
+TEST(PamoLint, StripPreservesGeometryAndBlanksLiterals) {
+  const std::string source =
+      "int a = 1; // std::rand\n"
+      "const char* s = \"x == 0.0\";\n";
+  const std::string stripped = strip_source(source).code;
+  EXPECT_EQ(std::count(stripped.begin(), stripped.end(), '\n'),
+            std::count(source.begin(), source.end(), '\n'));
+  EXPECT_EQ(stripped.find("std::rand"), std::string::npos);
+  EXPECT_EQ(stripped.find("=="), std::string::npos);
+  EXPECT_NE(stripped.find("int a = 1;"), std::string::npos);
+}
+
+TEST(PamoLint, StripHandlesRawStrings) {
+  const std::string source =
+      "const char* s = R\"(std::random_device inside)\";\n"
+      "int after = 2;\n";
+  const std::string stripped = strip_source(source).code;
+  EXPECT_EQ(stripped.find("random_device"), std::string::npos);
+  EXPECT_NE(stripped.find("int after = 2;"), std::string::npos);
+}
+
+TEST(PamoLint, SchedulingPathPredicate) {
+  EXPECT_TRUE(is_scheduling_path("src/sched/scheduler.cpp"));
+  EXPECT_TRUE(is_scheduling_path("/root/repo/src/bo/candidates.cpp"));
+  EXPECT_TRUE(is_scheduling_path("src/sim/fault.hpp"));
+  EXPECT_TRUE(is_scheduling_path("src/core/service.cpp"));
+  EXPECT_FALSE(is_scheduling_path("src/eva/profiler.cpp"));
+  EXPECT_FALSE(is_scheduling_path("tests/sched/test_scheduler.cpp"));
+}
+
+// ==== tree family ==========================================================
+
 // ---- snapshot-coverage ----------------------------------------------------
 
 const char* const kSnapshotHeader =
@@ -276,9 +802,11 @@ TEST(AnalyzeSnapshot, OmittedMemberIsCaught) {
       "  c.kept_ = v.at(\"kept\").as_double();\n"
       "  return c;\n"
       "}\n";
-  const auto findings = analyze_tree(
-      {{"src/eva/counter.hpp", kSnapshotHeader}, {"src/eva/codec.cpp", codec}});
-  ASSERT_EQ(count_rule(findings, "snapshot-coverage"), 1u);
+  const auto findings = only(
+      analyze_tree({{"src/eva/counter.hpp", kSnapshotHeader},
+                    {"src/eva/codec.cpp", codec}}),
+      "snapshot-coverage");
+  ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/eva/counter.hpp");
   EXPECT_EQ(findings[0].line, 3u);  // dropped_'s declaration line
   EXPECT_NE(findings[0].message.find("dropped_"), std::string::npos);
@@ -387,9 +915,12 @@ TEST(AnalyzeSnapshot, MemberAllowSuppressesAtDeclaration) {
   EXPECT_FALSE(has_rule(quiet, "snapshot-coverage"));
   Options keep;
   keep.include_suppressed = true;
-  const auto all = analyze_tree(
-      {{"src/eva/counter.hpp", header}, {"src/eva/codec.cpp", codec}}, keep);
-  ASSERT_EQ(count_rule(all, "snapshot-coverage"), 1u);
+  const auto all = only(
+      analyze_tree(
+          {{"src/eva/counter.hpp", header}, {"src/eva/codec.cpp", codec}},
+          keep),
+      "snapshot-coverage");
+  ASSERT_EQ(all.size(), 1u);
   EXPECT_TRUE(all[0].suppressed);
 }
 
@@ -421,10 +952,11 @@ TEST(AnalyzeSnapshot, UnknownTypeAndOneSidedAnnotationFlagged) {
 // ---- layer-dag ------------------------------------------------------------
 
 TEST(AnalyzeLayers, UpwardIncludeIsCaught) {
-  const auto findings = analyze_tree(
-      {{"src/la/matrix.hpp", "#include \"core/service.hpp\"\n"},
-       {"src/core/service.hpp", "int x;\n"}});
-  ASSERT_EQ(count_rule(findings, "layer-dag"), 1u);
+  const auto findings = only(
+      analyze_tree({{"src/la/matrix.hpp", "#include \"core/service.hpp\"\n"},
+                    {"src/core/service.hpp", "int x;\n"}}),
+      "layer-dag");
+  ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].file, "src/la/matrix.hpp");
   EXPECT_EQ(findings[0].line, 1u);
 }
@@ -447,10 +979,11 @@ TEST(AnalyzeLayers, DownwardIncludesAreQuiet) {
 }
 
 TEST(AnalyzeLayers, IncludeCycleIsCaught) {
-  const auto findings = analyze_tree(
-      {{"src/gp/a.hpp", "#include \"gp/b.hpp\"\n"},
-       {"src/gp/b.hpp", "#include \"gp/a.hpp\"\n"}});
-  EXPECT_GE(count_rule(findings, "layer-dag"), 1u);
+  const auto findings =
+      only(analyze_tree({{"src/gp/a.hpp", "#include \"gp/b.hpp\"\n"},
+                         {"src/gp/b.hpp", "#include \"gp/a.hpp\"\n"}}),
+           "layer-dag");
+  EXPECT_GE(findings.size(), 1u);
   for (const auto& f : findings) {
     EXPECT_NE(f.message.find("cycle"), std::string::npos);
   }
@@ -583,12 +1116,14 @@ TEST(AnalyzeCaptures, ByValueLambdasAndPlainLoopsAreQuiet) {
 // ---- engine surface -------------------------------------------------------
 
 TEST(AnalyzeEngine, RuleListIsStable) {
+  // The per-file family first, then the tree family.
   const auto& ids = rule_ids();
-  ASSERT_EQ(ids.size(), 4u);
-  EXPECT_EQ(ids[0], "snapshot-coverage");
-  EXPECT_EQ(ids[1], "layer-dag");
-  EXPECT_EQ(ids[2], "contract-coverage");
-  EXPECT_EQ(ids[3], "capture-hygiene");
+  ASSERT_EQ(ids.size(), 17u);
+  EXPECT_EQ(ids[0], "determinism-rng");
+  EXPECT_EQ(ids[13], "snapshot-coverage");
+  EXPECT_EQ(ids[14], "layer-dag");
+  EXPECT_EQ(ids[15], "contract-coverage");
+  EXPECT_EQ(ids[16], "capture-hygiene");
 }
 
 TEST(AnalyzeEngine, AllowOnLineOrAboveSuppresses) {
@@ -615,10 +1150,43 @@ TEST(AnalyzeEngine, AllowOnLineOrAboveSuppresses) {
   }
 }
 
+TEST(AnalyzeEngine, OneAllowSilencesBothFamilies) {
+  // Line 2 carries a per-file finding (float-eq) and a tree finding
+  // (contract-coverage, reported at the function name); one allow list on
+  // the line above silences both.
+  const std::string source =
+      "// pamo-analyze: allow(float-eq, contract-coverage)\n" +
+      long_body("int schedule_all(double x) { if (x == 0.0) return 0;");
+  EXPECT_TRUE(analyze_file("src/sched/fix.cpp", source).empty());
+  Options keep;
+  keep.include_suppressed = true;
+  const auto all = analyze_file("src/sched/fix.cpp", source, keep);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(rules_hit(all),
+            (std::vector<std::string>{"float-eq", "contract-coverage"}));
+  for (const auto& f : all) {
+    EXPECT_EQ(f.line, 2u);
+    EXPECT_TRUE(f.suppressed);
+  }
+}
+
+TEST(AnalyzeEngine, RetiredLintTagIsInert) {
+  // The retired per-file tool's tag is not a suppression: only
+  // `pamo-analyze:` comments silence findings.
+  const std::string source =
+      "// pamo-lint: allow(float-eq)\n"
+      "bool f(double x) { return x == 0.0; }  // pamo-lint: allow(float-eq)\n";
+  const auto findings = analyze_file("src/la/fixture.cpp", source);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "float-eq");
+  EXPECT_FALSE(findings[0].suppressed);
+}
+
 TEST(AnalyzeEngine, ReportFormats) {
-  const auto findings = analyze_tree(
-      {{"src/la/matrix.hpp", "#include \"core/service.hpp\"\n"},
-       {"src/core/service.hpp", "int x;\n"}});
+  const auto findings = only(
+      analyze_tree({{"src/la/matrix.hpp", "#include \"core/service.hpp\"\n"},
+                    {"src/core/service.hpp", "int x;\n"}}),
+      "layer-dag");
   ASSERT_EQ(findings.size(), 1u);
   const std::string text = to_text(findings);
   EXPECT_NE(text.find("src/la/matrix.hpp:1: [layer-dag]"), std::string::npos);
@@ -629,10 +1197,11 @@ TEST(AnalyzeEngine, ReportFormats) {
 }
 
 TEST(AnalyzeEngine, FindingsSortedByFileThenLine) {
-  const auto findings = analyze_tree(
-      {{"src/la/zzz.hpp", "#include \"core/b.hpp\"\n"},
-       {"src/la/aaa.hpp", "int y;\n#include \"core/b.hpp\"\n"},
-       {"src/core/b.hpp", "int x;\n"}});
+  const auto findings = only(
+      analyze_tree({{"src/la/zzz.hpp", "#include \"core/b.hpp\"\n"},
+                    {"src/la/aaa.hpp", "int y;\n#include \"core/b.hpp\"\n"},
+                    {"src/core/b.hpp", "int x;\n"}}),
+      "layer-dag");
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].file, "src/la/aaa.hpp");
   EXPECT_EQ(findings[1].file, "src/la/zzz.hpp");

@@ -1,7 +1,8 @@
 // obs_smoke — run one small scheduling epoch with observability enabled
 // and print the resulting obs::EpochRecord JSON to stdout (or a file).
 //
-//   obs_smoke [OUT.json]
+//   obs_smoke [OUT.json]    (--help prints usage; any other option or a
+//                            second path is a usage error, exit 2)
 //
 // This is the producer half of the CI observability gate: its output is
 // fed to `pamo_trace --check`, which validates the record's internal
@@ -42,9 +43,33 @@ pamo::core::ServiceOptions smoke_options(std::uint64_t seed) {
   return options;
 }
 
+constexpr const char* kUsage =
+    "usage: obs_smoke [OUT.json]\n"
+    "  Run one trimmed scheduling epoch with observability enabled and\n"
+    "  write its EpochRecord JSON to OUT.json (default: stdout).\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Every argument is checked before the epoch runs, so a typo never
+  // costs an epoch or leaves a stray output file behind.
+  const char* out_path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    }
+    if (arg.rfind('-', 0) == 0) {
+      std::cerr << "obs_smoke: unknown option '" << arg << "'\n" << kUsage;
+      return 2;
+    }
+    if (out_path != nullptr) {
+      std::cerr << "obs_smoke: more than one output path\n" << kUsage;
+      return 2;
+    }
+    out_path = argv[i];
+  }
   try {
     pamo::core::SchedulingService service(pamo::eva::make_workload(5, 4, 201),
                                           smoke_options(1));
@@ -57,12 +82,12 @@ int main(int argc, char** argv) {
         pamo::core::export_epoch_record(report);
     const std::string json = pamo::obs::to_json(record);
 
-    if (argc > 1) {
-      std::ofstream out(argv[1], std::ios::binary);
+    if (out_path != nullptr) {
+      std::ofstream out(out_path, std::ios::binary);
       if (!out) throw pamo::Error(std::string("obs_smoke: cannot write ") +
-                                  argv[1]);
+                                  out_path);
       out << json << "\n";
-      std::cerr << "obs_smoke: wrote " << argv[1] << " ("
+      std::cerr << "obs_smoke: wrote " << out_path << " ("
                 << record.spans.stats.size() << " span paths)\n";
     } else {
       std::cout << json << "\n";

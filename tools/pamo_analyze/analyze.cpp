@@ -1,20 +1,28 @@
 #include "pamo_analyze/analyze.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
 
+#include "pamo_analyze/file_rules.hpp"
+
 namespace pamo::analyze {
 namespace {
 
-// New rules are APPENDED: the id order is the stable report order that
-// --list-rules and the tests pin down.
+// New rules are APPENDED to their family: the id order is the stable report
+// order that --list-rules and the tests pin down.
 const char* const kRuleIds[] = {
-    "snapshot-coverage",
-    "layer-dag",
-    "contract-coverage",
+    // Per-file family (file_rules.cpp).
+    "determinism-rng",   "time-seeded-rng",      "unordered-iter",
+    "throw-discipline",  "catch-all-swallow",    "float-eq",
+    "unchecked-front-back", "pragma-once",       "using-namespace-header",
+    "raw-thread",        "wall-clock",           "unchecked-file-write",
+    "governor-action",
+    // Tree family.
+    "snapshot-coverage", "layer-dag",            "contract-coverage",
     "capture-hygiene",
 };
 
@@ -1221,6 +1229,18 @@ void json_escape(std::ostringstream& os, const std::string& s) {
   }
 }
 
+FileIndex index_stripped(const std::string& path, const std::string& content,
+                         const StripResult& stripped) {
+  FileIndex fi;
+  fi.path = path;
+  fi.tokens = tokenize(content);
+  fi.includes = parse_includes(content);
+  parse_comment_directives(fi, stripped.comments);
+  Indexer indexer{fi, fi.tokens};
+  indexer.parse_block(fi.tokens.size(), nullptr, nullptr);
+  return fi;
+}
+
 }  // namespace
 
 const std::vector<std::string>& rule_ids() {
@@ -1230,23 +1250,25 @@ const std::vector<std::string>& rule_ids() {
 }
 
 FileIndex index_file(const std::string& path, const std::string& content) {
-  FileIndex fi;
-  fi.path = path;
-  fi.tokens = tokenize(content);
-  fi.includes = parse_includes(content);
-  parse_comment_directives(fi, strip_source(content).comments);
-  Indexer indexer{fi, fi.tokens};
-  indexer.parse_block(fi.tokens.size(), nullptr, nullptr);
-  return fi;
+  return index_stripped(path, content, strip_source(content));
 }
 
 std::vector<Finding> analyze_tree(const std::vector<SourceFile>& files,
                                   const Options& options) {
+  // Per-file family first: each file is stripped once, for its index and
+  // its rules.
   std::vector<FileIndex> idx;
+  std::vector<Finding> found;
   idx.reserve(files.size());
-  for (const auto& f : files) idx.push_back(index_file(f.path, f.content));
+  for (const auto& f : files) {
+    const StripResult stripped = strip_source(f.content);
+    idx.push_back(index_stripped(f.path, f.content, stripped));
+    auto per_file = file_rule_findings(f.path, stripped.code);
+    found.insert(found.end(), std::make_move_iterator(per_file.begin()),
+                 std::make_move_iterator(per_file.end()));
+  }
 
-  Analyzer analyzer{idx, {}};
+  Analyzer analyzer{idx, std::move(found)};
   analyzer.snapshot_coverage();
   analyzer.layer_dag();
   analyzer.contract_coverage();

@@ -1,15 +1,43 @@
-// pamo_analyze — whole-tree semantic analysis for PaMO's cross-file
-// invariants.
+// pamo_analyze — repo-native static analysis for PaMO's determinism,
+// error-discipline and cross-file invariants.
 //
-// pamo_lint is a per-file pass and cannot see the bug classes that actually
-// threaten the repo's headline guarantees: a member added to a checkpointed
-// type but forgotten in its codec silently loses learned state on restore,
-// an #include that points the wrong way up the layer stack couples modules
-// that must stay independent, and a by-reference capture written inside a
-// parallel_for body silently breaks the 1-vs-8-worker digest. pamo_analyze
-// builds a tree-wide index (files, includes, class/struct members, function
-// definitions) on the shared tokenizer and runs four analyses over it:
+// The headline guarantees of this codebase (zero-jitter schedules, seeded
+// bit-for-bit reproducibility, "empty FaultPlan / dormant corruption model
+// is a no-op", crash-consistent checkpoints) are invariants that one
+// unseeded RNG, one iteration over an unordered container, one member
+// forgotten in a codec or one racy parallel_for capture silently breaks.
+// pamo_analyze makes them enforced properties of the build. One pass over
+// the tree runs two rule families on the shared tokenizer:
 //
+// Per-file family (file_rules.cpp) — token/regex + light-parsing rules that
+// look at one translation unit at a time and know which directories are
+// scheduling/simulation paths and which idioms are banned there:
+//   determinism-rng        std::rand/srand/std::random_device/std engines —
+//                          all randomness must flow through pamo::Rng.
+//   time-seeded-rng        RNG seeded from a clock (now()/time()/clock()).
+//   unordered-iter         range-iteration over an unordered_{map,set} in a
+//                          scheduling path (src/{sim,sched,bo,core}).
+//   throw-discipline       `throw` of any type other than pamo::Error in
+//                          src/ (bare rethrow `throw;` is allowed).
+//   catch-all-swallow      `catch (...)` whose handler neither rethrows nor
+//                          captures std::current_exception.
+//   float-eq               `==`/`!=` against a floating-point literal in src/.
+//   unchecked-front-back   .front()/.back() in a scheduling path with no
+//                          nearby emptiness evidence.
+//   pragma-once            header without #pragma once.
+//   using-namespace-header using namespace at header scope.
+//   raw-thread             std::thread / std::jthread in src/ outside
+//                          common/thread_pool.* (static queries are fine).
+//   wall-clock             wall-clock reads in src/ outside src/obs/ and
+//                          common/ticks; monotonic clocks are fine.
+//   unchecked-file-write   std::(o)fstream / fopen in src/ outside
+//                          ckpt/atomic_io (use ckpt::write_file_atomic).
+//   governor-action        mutation of the governor's `admitted_` set in
+//                          src/core with no record_action call in the
+//                          preceding lines.
+//
+// Tree family (analyze.cpp) — analyses over a tree-wide index (files,
+// includes, class/struct members, function definitions):
 //   snapshot-coverage   Types participating in checkpointing register their
 //                       encode/decode pair with a `snapshot(TypeName)`
 //                       annotation comment (prefixed with the analyzer tag).
@@ -39,7 +67,7 @@
 //                       a shared local, and writes through non-local indices
 //                       are races against the determinism digest.
 //
-// Suppression mirrors pamo_lint: an `allow(rule-a, rule-b)` comment tagged
+// Suppression, for both families: an `allow(rule-a, rule-b)` comment tagged
 // `pamo-analyze:` on the finding line or the line directly above silences it
 // (only in real comments — literals are inert, courtesy of the tokenizer).
 #pragma once
@@ -72,11 +100,13 @@ struct SourceFile {
   std::string content;
 };
 
-/// All rule ids, in report order (stable; used by --list-rules and tests).
+/// All rule ids, in report order (stable; used by --list-rules and tests):
+/// the per-file family, then the tree family.
 const std::vector<std::string>& rule_ids();
 
-/// Run all four analyses over the tree. Findings come back sorted by file
-/// then line.
+/// Run both rule families over the tree: the per-file rules on each file,
+/// then the tree analyses over the whole index. Findings come back sorted by
+/// file then line.
 std::vector<Finding> analyze_tree(const std::vector<SourceFile>& files,
                                   const Options& options = {});
 
@@ -123,6 +153,10 @@ struct FileIndex {
 
 /// Parse one file into its index (exposed for tests).
 FileIndex index_file(const std::string& path, const std::string& content);
+
+/// True when `path` is a scheduling/simulation path where the per-file
+/// determinism and hot-path rules apply (src/{sim,sched,bo,core}).
+bool is_scheduling_path(const std::string& path);
 
 /// `file:line: [rule] message` lines, one per finding.
 std::string to_text(const std::vector<Finding>& findings);

@@ -1,7 +1,8 @@
-// pamo_analyze CLI — index every C++ source under the given paths as one
-// tree, run the cross-file analyses (snapshot-coverage, layer-dag,
-// contract-coverage, capture-hygiene), print findings, exit non-zero when
-// any unsuppressed finding remains.
+// pamo_analyze CLI — read every C++ source under the given paths as one
+// tree, run both rule families (per-file rules on each file, cross-file
+// analyses over the whole tree), print findings, exit 1 when any
+// unsuppressed finding remains and 2 on a usage error or an unreadable or
+// missing input path.
 //
 // Usage: pamo_analyze [--format=text|json] [--include-suppressed]
 //                     [--list-rules] <path>...
@@ -24,8 +25,12 @@ bool analyzable(const fs::path& p) {
   return ext == ".cpp" || ext == ".hpp" || ext == ".h";
 }
 
-std::vector<std::string> collect(const std::vector<std::string>& inputs) {
-  std::vector<std::string> files;
+/// Expand the inputs into a sorted file list; false (after naming every
+/// missing input) when any input is neither a file nor a directory, so a
+/// typo in a gate's path fails the gate instead of passing it vacuously.
+bool collect(const std::vector<std::string>& inputs,
+             std::vector<std::string>& files) {
+  bool ok = true;
   for (const auto& input : inputs) {
     const fs::path p(input);
     if (fs::is_directory(p)) {
@@ -39,10 +44,11 @@ std::vector<std::string> collect(const std::vector<std::string>& inputs) {
     } else {
       std::cerr << "pamo_analyze: no such file or directory: " << input
                 << '\n';
+      ok = false;
     }
   }
   std::sort(files.begin(), files.end());  // deterministic report order
-  return files;
+  return ok;
 }
 
 }  // namespace
@@ -80,8 +86,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::vector<std::string> files;
+  if (!collect(inputs, files)) return 2;
   std::vector<pamo::analyze::SourceFile> sources;
-  for (const auto& file : collect(inputs)) {
+  for (const auto& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {
       std::cerr << "pamo_analyze: cannot read " << file << '\n';
