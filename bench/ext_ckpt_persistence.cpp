@@ -3,10 +3,13 @@
 // The daemon checkpoints the full learned state every epoch — is that
 // affordable against epochs that take seconds? The harness grows a
 // hostile service lineage (faults active, telemetry corrupted) and, at
-// each epoch, times the three legs of the persistence path plus the
+// each epoch, times the four legs of the persistence path plus the
 // epoch itself:
 //   encode   — SchedulingService::snapshot() → deterministic JSON bytes,
 //   save     — CheckpointStore::save: encode + temp→fsync→rename commit,
+//   prune    — CheckpointStore::prune(kKeep) right after the save, as the
+//              daemon does: steady state decodes the new file once and
+//              re-hashes the retained ones,
 //   restore  — load_newest_valid + restore into a fresh service,
 // and reports the snapshot size. The restored service is then advanced
 // one epoch and its digest checked against the donor's — a benchmark
@@ -90,8 +93,10 @@ int main() {
   pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
   ckpt::CheckpointStore store(dir);
 
+  constexpr std::size_t kKeep = 4;  // core::DaemonOptions' default
   TablePrinter table({"epoch", "epoch (ms)", "encode (ms)", "save (ms)",
-                      "restore (ms)", "snapshot (KiB)", "overhead %"});
+                      "prune (ms)", "restore (ms)", "snapshot (KiB)",
+                      "overhead %"});
 
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     const auto e0 = std::chrono::steady_clock::now();
@@ -106,6 +111,10 @@ int main() {
     const auto w0 = std::chrono::steady_clock::now();
     store.save(snapshot);
     const double save_ms = ms_since(w0);
+
+    const auto p0 = std::chrono::steady_clock::now();
+    store.prune(kKeep);
+    const double prune_ms = ms_since(p0);
 
     const auto r0 = std::chrono::steady_clock::now();
     const auto loaded = store.load_newest_valid();
@@ -130,14 +139,15 @@ int main() {
 
     table.add_row({std::to_string(epoch), format_double(epoch_ms, 1),
                    format_double(encode_ms, 2), format_double(save_ms, 2),
-                   format_double(restore_ms, 2),
+                   format_double(prune_ms, 2), format_double(restore_ms, 2),
                    format_double(static_cast<double>(bytes.size()) / 1024.0, 1),
-                   format_double(100.0 * save_ms / epoch_ms, 2)});
+                   format_double(100.0 * (save_ms + prune_ms) / epoch_ms, 2)});
   }
 
   table.print(std::cout,
               "Checkpoint persistence cost per epoch (hostile lineage: "
-              "faults + corrupted telemetry; overhead = save/epoch)");
+              "faults + corrupted telemetry; prune keeps 4; "
+              "overhead = (save + prune)/epoch)");
   bench::maybe_export_csv(table, "ext_ckpt_persistence");
   std::filesystem::remove_all(dir);
   return 0;

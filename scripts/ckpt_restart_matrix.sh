@@ -7,8 +7,9 @@
 # std::_Exit(137) mid-protocol — no destructors, no stream flushes, the
 # closest a test gets to a power cut. For every kill point the script
 # kills a run, resumes it from disk, and requires the completed digest
-# trajectory to be byte-identical to an uninterrupted baseline. A final
-# scenario truncates the newest snapshot on disk and requires resume to
+# trajectory to be byte-identical to an uninterrupted baseline. Two final
+# scenarios truncate the newest snapshot on disk, or plant a hostile one
+# nested far past the JSON parser's depth limit, and require resume to
 # fall back to the previous one and still converge.
 #
 # usage: scripts/ckpt_restart_matrix.sh path/to/pamo_daemon
@@ -124,5 +125,35 @@ got=$(trajectory_of "$dir.resumed.out")
   expected: $BASELINE
   got:      $got"
 echo "fell back and recovered bit-identically"
+
+echo "== hostile newest snapshot (nested past the parser limit), resume falls back =="
+# A reader must reject a file it cannot parse, whatever is in it: here 1 MB
+# of '[' planted as the newest snapshot after a mid-run kill. Resume skips
+# it and replays from the previous snapshot; the file stays as evidence.
+dir="$WORK/hostile"
+status=0
+PAMO_KILL_AT="daemon.epoch.begin:3:exit" "$DAEMON" --dir "$dir" "${FLAGS[@]}" \
+  > "$dir.killed.out" 2> "$dir.killed.err" || status=$?
+[ "$status" -eq 137 ] || fail "hostile: expected exit 137, got $status"
+newest=$(ls "$dir"/ckpt-*.json | sort | tail -n 1)
+next=${newest##*/ckpt-}
+next=$((10#${next%.json} + 1))
+hostile=$(printf '%s/ckpt-%08d.json' "$dir" "$next")
+head -c 1000000 /dev/zero | tr '\0' '[' > "$hostile"
+status=0
+"$DAEMON" --verify-ckpt "$dir" > "$dir.verify.out" 2>&1 || status=$?
+[ "$status" -eq 0 ] || fail "hostile: verify-ckpt exited $status"
+grep -q "^corrupt $(basename "$hostile") " "$dir.verify.out" \
+  || fail "verify-ckpt did not flag the hostile snapshot"
+status=0
+"$DAEMON" --dir "$dir" --resume "${FLAGS[@]}" > "$dir.resumed.out" \
+  2> "$dir.resumed.err" || status=$?
+[ "$status" -eq 0 ] || fail "hostile: resume exited $status"
+got=$(trajectory_of "$dir.resumed.out")
+[ "$got" = "$BASELINE" ] || fail "hostile-newest: trajectory diverged
+  expected: $BASELINE
+  got:      $got"
+[ -f "$hostile" ] || fail "hostile: the rejected snapshot was deleted"
+echo "skipped the hostile file and recovered bit-identically"
 
 echo "ckpt_restart_matrix: all scenarios recovered bit-identically"

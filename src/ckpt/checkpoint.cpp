@@ -1,6 +1,7 @@
 #include "ckpt/checkpoint.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "ckpt/atomic_io.hpp"
 #include "ckpt/digest.hpp"
@@ -43,24 +44,33 @@ std::optional<std::uint64_t> sequence_of(const std::string& name) {
 
 std::string encode_checkpoint(std::uint64_t sequence,
                               const json::Value& payload) {
+  // The bytes of an envelope object {schema, sequence, payload_digest,
+  // payload} dumped whole, with the payload dumped once and spliced in.
   const std::string payload_bytes = payload.dump();
-  json::Value envelope = json::Value::object();
-  envelope.set("schema", json::Value(kCheckpointSchema));
-  envelope.set("sequence", json::Value(sequence));
-  envelope.set("payload_digest",
-               json::Value(to_hex(fnv1a_bytes(payload_bytes))));
-  envelope.set("payload", payload);
-  return envelope.dump();
+  std::string out;
+  out.reserve(payload_bytes.size() + 128);
+  out += "{\"schema\":";
+  out += json::Value(kCheckpointSchema).dump();
+  out += ",\"sequence\":";
+  out += json::Value(sequence).dump();
+  out += ",\"payload_digest\":\"";
+  out += to_hex(fnv1a_bytes(payload_bytes));
+  out += "\",\"payload\":";
+  out += payload_bytes;
+  out += '}';
+  return out;
 }
 
 Envelope decode_checkpoint(const std::string& bytes) {
-  const json::Value doc = json::Value::parse(bytes);
+  json::Value doc = json::Value::parse(bytes);
   PAMO_CHECK(doc.at("schema").as_string() == kCheckpointSchema,
              "unsupported checkpoint schema");
   Envelope out;
   out.sequence = doc.at("sequence").as_uint();
-  out.payload = doc.at("payload");
-  const std::string expected = doc.at("payload_digest").as_string();
+  out.payload = std::move(doc.at("payload"));
+  const std::string& expected = doc.at("payload_digest").as_string();
+  // The digest covers the payload's canonical re-serialization, so a
+  // payload that parses but does not re-dump to the hashed bytes fails.
   const std::string actual = to_hex(fnv1a_bytes(out.payload.dump()));
   PAMO_CHECK(actual == expected,
              "checkpoint payload digest mismatch (torn or corrupt file)");
@@ -133,15 +143,31 @@ std::vector<CheckpointStore::Verified> CheckpointStore::verify_all() const {
 
 void CheckpointStore::prune(std::size_t keep) {
   PAMO_CHECK(keep >= 1, "prune must keep at least one snapshot");
-  const auto verified = verify_all();
+  // Every file is read and hashed on every call; only bytes a full decode
+  // in this store accepted before skip the decode. The memo is rebuilt
+  // from this pass, so deleted, vanished or failing files drop out of it.
+  std::map<std::string, ContentKey> accepted;
   std::vector<std::string> valid;
-  for (const auto& v : verified) {
-    if (v.valid) valid.push_back(v.file);
+  for (const auto& name : list()) {
+    const auto bytes = read_file(path_of(name));
+    if (!bytes.has_value()) continue;  // unreadable counts as corrupt
+    const ContentKey key{bytes->size(), fnv1a_bytes(*bytes)};
+    const auto memo = accepted_.find(name);
+    if (memo == accepted_.end() || memo->second != key) {
+      try {
+        (void)decode_checkpoint(*bytes);
+      } catch (const Error&) {
+        continue;  // corrupt: never counted, never deleted
+      }
+    }
+    valid.push_back(name);
+    accepted.emplace(name, key);
   }
-  if (valid.size() <= keep) return;
   for (std::size_t i = 0; i + keep < valid.size(); ++i) {
     remove_file(path_of(valid[i]));
+    accepted.erase(valid[i]);
   }
+  accepted_ = std::move(accepted);
 }
 
 }  // namespace pamo::ckpt

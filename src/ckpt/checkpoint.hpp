@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,13 +81,26 @@ class CheckpointStore {
 
   /// Delete older *valid* snapshots so at most `keep` valid ones remain.
   /// Corrupt files and anything at or above the newest valid sequence are
-  /// never touched.
+  /// never touched. Validity is decided on the current bytes of every
+  /// file: a file whose bytes (size + FNV-1a) equal bytes that a full
+  /// decode_checkpoint in an earlier prune of this store accepted is not
+  /// decoded again; any other file is.
   void prune(std::size_t keep);
 
  private:
+  /// Identity of a file's bytes: size plus FNV-1a over all of them.
+  struct ContentKey {
+    std::uint64_t size = 0;
+    std::uint64_t hash = 0;
+    bool operator==(const ContentKey&) const = default;
+  };
+
   [[nodiscard]] std::string path_of(const std::string& file) const;
 
   std::string dir_;
+  // prune's memo: file name -> bytes a full decode accepted. Written only
+  // after a passing decode_checkpoint, never by save().
+  std::map<std::string, ContentKey> accepted_;
 };
 
 }  // namespace pamo::ckpt

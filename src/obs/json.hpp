@@ -6,16 +6,24 @@
 // order, never hash order) and *fixed* float formatting (std::to_chars
 // shortest round-trip form, locale-independent), so the same record
 // always serializes to the same bytes. Parsing is a strict recursive-
-// descent pass over the same grammar; malformed input throws pamo::Error.
+// descent pass over the same grammar; malformed input throws pamo::Error,
+// and so does nesting deeper than kMaxParseDepth (a hostile file must
+// not be able to exhaust the stack of whoever reads it).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace pamo::obs::json {
+
+/// Deepest array/object nesting Value::parse accepts. Every document the
+/// repo writes nests under ten levels; a limit in the hundreds keeps the
+/// parser's recursion a few kilobytes of stack.
+inline constexpr std::size_t kMaxParseDepth = 256;
 
 /// One JSON value. Objects preserve insertion order; numbers remember
 /// whether they were written as unsigned integers so counters and
@@ -25,19 +33,22 @@ class Value {
  public:
   enum class Kind { kNull, kBool, kUint, kNumber, kString, kArray, kObject };
 
-  Value() : kind_(Kind::kNull) {}
-  Value(bool b) : kind_(Kind::kBool), bool_(b) {}                 // NOLINT
-  Value(std::uint64_t u) : kind_(Kind::kUint), uint_(u) {}        // NOLINT
-  Value(double d) : kind_(Kind::kNumber), num_(d) {}              // NOLINT
-  Value(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}  // NOLINT
-  Value(const char* s) : kind_(Kind::kString), str_(s) {}         // NOLINT
+  Value() = default;
+  Value(bool b) : data_(std::in_place_type<bool>, b) {}  // NOLINT
+  Value(std::uint64_t u)                                    // NOLINT
+      : data_(std::in_place_type<std::uint64_t>, u) {}
+  Value(double d) : data_(std::in_place_type<double>, d) {}  // NOLINT
+  Value(std::string s)                                       // NOLINT
+      : data_(std::in_place_type<std::string>, std::move(s)) {}
+  Value(const char* s)                                       // NOLINT
+      : data_(std::in_place_type<std::string>, s) {}
 
   static Value array();
   static Value object();
 
-  [[nodiscard]] Kind kind() const { return kind_; }
+  [[nodiscard]] Kind kind() const { return static_cast<Kind>(data_.index()); }
   [[nodiscard]] bool is_number() const {
-    return kind_ == Kind::kUint || kind_ == Kind::kNumber;
+    return kind() == Kind::kUint || kind() == Kind::kNumber;
   }
 
   // Typed accessors; each throws pamo::Error on a kind mismatch (as_double
@@ -60,24 +71,32 @@ class Value {
   /// Object lookup; null when absent (or not an object).
   [[nodiscard]] const Value* find(const std::string& key) const;
 
-  /// Object lookup that throws pamo::Error when `key` is absent.
+  /// Object lookup that throws pamo::Error when `key` is absent. The
+  /// mutable overload lets a reader move a member out of a parsed document.
   [[nodiscard]] const Value& at(const std::string& key) const;
+  [[nodiscard]] Value& at(const std::string& key);
 
   /// Serialize (no whitespace). Deterministic: same value, same bytes.
   [[nodiscard]] std::string dump() const;
 
   /// Strict parse of a complete JSON document; throws pamo::Error on any
-  /// syntax error, duplicate object key, or trailing garbage.
+  /// syntax error, duplicate object key, nesting deeper than
+  /// kMaxParseDepth, or trailing garbage.
   static Value parse(const std::string& text);
 
  private:
-  Kind kind_;
-  bool bool_ = false;
-  std::uint64_t uint_ = 0;
-  double num_ = 0.0;
-  std::string str_;
-  std::vector<Value> array_;
-  std::vector<std::pair<std::string, Value>> object_;
+  using Array = std::vector<Value>;
+  using Object = std::vector<std::pair<std::string, Value>>;
+  struct Parser;
+
+  /// Appends the serialization to `out`: one buffer for the whole tree.
+  void dump_to(std::string& out) const;
+
+  // One alternative per Kind, in Kind's order, so kind() is the index
+  // (40 bytes a node).
+  std::variant<std::monostate, bool, std::uint64_t, double, std::string,
+               Array, Object>
+      data_;
 };
 
 }  // namespace pamo::obs::json

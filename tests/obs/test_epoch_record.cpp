@@ -203,6 +203,19 @@ TEST(EpochRecord, RejectsMistypedFields) {
   EXPECT_THROW((void)record_from_json(text), Error);
 }
 
+TEST(EpochRecord, RejectsHostileNestingWithoutCrashing) {
+  // A mutated record nested far past the parser's depth limit (what
+  // pamo_trace reads from disk) throws instead of exhausting the stack.
+  std::string text = to_json(sample_record());
+  const std::string needle = "\"epoch\":7";
+  const auto pos = text.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, needle.size(),
+               "\"epoch\":" + std::string(100000, '[') + "7" +
+                   std::string(100000, ']'));
+  EXPECT_THROW((void)record_from_json(text), Error);
+}
+
 TEST(EpochRecord, ReadsRecordsWrittenBeforeChurnExisted) {
   // Records exported by builds that predate stream churn have no "churn",
   // "governor_actions", or continual-learning health keys. They must still
