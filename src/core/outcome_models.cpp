@@ -21,6 +21,30 @@ double metric_of(const eva::StreamMeasurement& m, Metric metric) {
   return 0.0;
 }
 
+std::vector<std::vector<double>> inputs_of(
+    const std::vector<eva::StreamConfig>& configs) {
+  std::vector<std::vector<double>> inputs;
+  inputs.reserve(configs.size());
+  for (const auto& c : configs) {
+    inputs.push_back({static_cast<double>(c.resolution),
+                      static_cast<double>(c.fps)});
+  }
+  return inputs;
+}
+
+/// One target column per metric.
+std::vector<std::vector<double>> targets_of(
+    const std::vector<eva::StreamMeasurement>& measurements) {
+  std::vector<std::vector<double>> targets(kNumMetrics);
+  for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    targets[m].reserve(measurements.size());
+    for (const auto& meas : measurements) {
+      targets[m].push_back(metric_of(meas, static_cast<Metric>(m)));
+    }
+  }
+  return targets;
+}
+
 }  // namespace
 
 OutcomeModels::OutcomeModels(const eva::ConfigSpace& space,
@@ -31,17 +55,30 @@ OutcomeModels::OutcomeModels(const eva::ConfigSpace& space,
       grid_inputs_.push_back({static_cast<double>(r), static_cast<double>(s)});
     }
   }
-  models_.reserve(kNumMetrics);
-  for (std::size_t m = 0; m < kNumMetrics; ++m) {
-    gp::GpOptions options = gp_options;
-    options.seed = gp_options.seed + m;  // decorrelate MLE restarts
-    models_.emplace_back(options);
+  if (gp::outputs_share_system(gp_options)) {
+    // The five metric GPs would factor one matrix: hold them as one GP.
+    models_.emplace_back(gp_options, kNumMetrics);
+  } else {
+    models_.reserve(kNumMetrics);
+    for (std::size_t m = 0; m < kNumMetrics; ++m) {
+      gp::GpOptions options = gp_options;
+      options.seed = gp_options.seed + m;  // decorrelate MLE restarts
+      models_.emplace_back(options);
+    }
   }
   PAMO_ENSURES(grid_.size() == space.resolutions().size() *
                                    space.fps_knobs().size() &&
-                   models_.size() == kNumMetrics,
+                   (models_.size() == 1 || models_.size() == kNumMetrics),
                "outcome models must cover the full knob grid, one GP per "
-               "metric");
+               "metric or one shared by all");
+}
+
+const gp::GpRegressor& OutcomeModels::model_of(std::size_t metric) const {
+  return models_.size() == 1 ? models_.front() : models_[metric];
+}
+
+std::size_t OutcomeModels::output_of(std::size_t metric) const {
+  return models_.size() == 1 ? metric : 0;
 }
 
 void OutcomeModels::fit(const std::vector<eva::StreamConfig>& configs,
@@ -49,21 +86,16 @@ void OutcomeModels::fit(const std::vector<eva::StreamConfig>& configs,
   PAMO_CHECK(configs.size() == measurements.size(),
              "configs/measurements size mismatch");
   PAMO_CHECK(configs.size() >= 2, "outcome models need >= 2 profiles");
-  std::vector<std::vector<double>> inputs;
-  inputs.reserve(configs.size());
-  for (const auto& c : configs) {
-    inputs.push_back({static_cast<double>(c.resolution),
-                      static_cast<double>(c.fps)});
+  std::vector<std::vector<double>> inputs = inputs_of(configs);
+  std::vector<std::vector<double>> targets = targets_of(measurements);
+  if (models_.size() == 1) {
+    models_.front().fit_outputs(std::move(inputs), std::move(targets));
+    return;
   }
   // The five metric fits are independent (per-model options carry their
   // own MLE seed and no model touches another's state), so fan them out.
   parallel_for(kNumMetrics, [&](std::size_t m) {
-    std::vector<double> targets;
-    targets.reserve(measurements.size());
-    for (const auto& meas : measurements) {
-      targets.push_back(metric_of(meas, static_cast<Metric>(m)));
-    }
-    models_[m].fit(inputs, targets);
+    models_[m].fit(inputs, std::move(targets[m]));
   });
 }
 
@@ -73,19 +105,14 @@ void OutcomeModels::update(
   PAMO_CHECK(configs.size() == measurements.size(),
              "configs/measurements size mismatch");
   PAMO_CHECK(is_fit(), "update before fit");
-  std::vector<std::vector<double>> inputs;
-  inputs.reserve(configs.size());
-  for (const auto& c : configs) {
-    inputs.push_back({static_cast<double>(c.resolution),
-                      static_cast<double>(c.fps)});
+  const std::vector<std::vector<double>> inputs = inputs_of(configs);
+  const std::vector<std::vector<double>> targets = targets_of(measurements);
+  if (models_.size() == 1) {
+    models_.front().update_outputs(inputs, targets, /*reoptimize=*/false);
+    return;
   }
   parallel_for(kNumMetrics, [&](std::size_t m) {
-    std::vector<double> targets;
-    targets.reserve(measurements.size());
-    for (const auto& meas : measurements) {
-      targets.push_back(metric_of(meas, static_cast<Metric>(m)));
-    }
-    models_[m].update(inputs, targets, /*reoptimize=*/false);
+    models_[m].update(inputs, targets[m], /*reoptimize=*/false);
   });
 }
 
@@ -95,9 +122,10 @@ bool OutcomeModels::is_fit() const {
 
 double OutcomeModels::mean(Metric metric,
                            const eva::StreamConfig& config) const {
-  return models_[static_cast<std::size_t>(metric)].predict_mean(
-      {static_cast<double>(config.resolution),
-       static_cast<double>(config.fps)});
+  const auto m = static_cast<std::size_t>(metric);
+  return model_of(m).predict_mean({static_cast<double>(config.resolution),
+                                   static_cast<double>(config.fps)},
+                                  output_of(m));
 }
 
 std::size_t OutcomeModels::grid_index(const eva::StreamConfig& config) const {
@@ -124,6 +152,9 @@ std::vector<la::Matrix> OutcomeModels::sample_grid_tables(
     }
     normals.push_back(std::move(z));
   }
+  if (models_.size() == 1) {
+    return models_.front().sample_outputs_given(grid_inputs_, normals);
+  }
   std::vector<la::Matrix> tables(kNumMetrics);
   parallel_for(kNumMetrics, [&](std::size_t m) {
     tables[m] = models_[m].sample_joint_given(grid_inputs_, normals[m]);
@@ -140,11 +171,11 @@ std::size_t OutcomeModels::num_points() const {
 }
 
 gp::GpFitDiagnostics OutcomeModels::diagnostics() const {
-  PAMO_CHECK(models_.size() == kNumMetrics,
+  PAMO_CHECK(models_.size() == 1 || models_.size() == kNumMetrics,
              "diagnostics over a partially constructed model set");
   gp::GpFitDiagnostics total;
-  for (const auto& model : models_) {
-    const auto& d = model.diagnostics();
+  for (std::size_t m = 0; m < kNumMetrics; ++m) {
+    const gp::GpFitDiagnostics d = model_of(m).diagnostics(output_of(m));
     total.rows_rejected += d.rows_rejected;
     total.outliers_downweighted += d.outliers_downweighted;
     total.cholesky_recoveries += d.cholesky_recoveries;
@@ -162,18 +193,31 @@ gp::GpFitDiagnostics OutcomeModels::diagnostics() const {
 
 // pamo-analyze: snapshot(OutcomeModels)
 obs::json::Value OutcomeModels::snapshot() const {
+  // Metric order in either layout: the outputs of the shared GP, or the
+  // single output of each per-metric GP.
   obs::json::Value arr = obs::json::Value::array();
-  for (const auto& model : models_) arr.push_back(model.snapshot());
+  for (const auto& model : models_) {
+    for (std::size_t c = 0; c < model.num_outputs(); ++c) {
+      arr.push_back(model.snapshot(c));
+    }
+  }
   return arr;
 }
 
 // pamo-analyze: snapshot(OutcomeModels)
 void OutcomeModels::restore(const obs::json::Value& snap) {
-  PAMO_CHECK(snap.items().size() == models_.size(),
+  const std::vector<obs::json::Value>& metrics = snap.items();
+  PAMO_CHECK(metrics.size() == kNumMetrics,
              "outcome-model snapshot metric count mismatch");
-  for (std::size_t m = 0; m < models_.size(); ++m) {
-    models_[m].restore(snap.items()[m]);
+  // Restore into copies and commit only when every metric decoded: each
+  // GpRegressor::restore is all or nothing, and so is the bank.
+  std::vector<gp::GpRegressor> next = models_;
+  if (next.size() == 1) {
+    next.front().restore_outputs(metrics);
+  } else {
+    for (std::size_t m = 0; m < kNumMetrics; ++m) next[m].restore(metrics[m]);
   }
+  models_ = std::move(next);
 }
 
 la::Matrix OutcomeModels::mean_grid_table() const {
@@ -181,7 +225,7 @@ la::Matrix OutcomeModels::mean_grid_table() const {
   la::Matrix table(kNumMetrics, grid_.size());
   parallel_for(kNumMetrics, [&](std::size_t m) {
     for (std::size_t g = 0; g < grid_.size(); ++g) {
-      table(m, g) = models_[m].predict_mean(grid_inputs_[g]);
+      table(m, g) = model_of(m).predict_mean(grid_inputs_[g], output_of(m));
     }
   });
   return table;

@@ -4,6 +4,13 @@
 // metric, trained on pooled noisy per-stream profiles; clip-to-clip
 // variation is absorbed as observation noise).
 //
+// Layout: when the GP options make the five solved systems identical by
+// construction (gp::outputs_share_system: fixed hyperparameters, exact
+// backend, no per-metric row reweighting), the bank is one 5-output GP
+// that factors the shared training covariance once; otherwise it is five
+// independent single-output GPs. Both layouts give bit-identical means,
+// samples, diagnostics and snapshots (see DESIGN.md, "Outcome bank").
+//
 // Because the knob sets are small, the models expose *joint posterior
 // samples over the whole knob grid*: one (S × |grid|) table per metric.
 // Evaluating any candidate joint configuration under MC scenario s is then
@@ -36,7 +43,7 @@ class OutcomeModels {
   explicit OutcomeModels(const eva::ConfigSpace& space,
                          gp::GpOptions gp_options = {});
 
-  /// Fit all five GPs from profiled (config, measurement) pairs.
+  /// Fit all five metrics from profiled (config, measurement) pairs.
   void fit(const std::vector<eva::StreamConfig>& configs,
            const std::vector<eva::StreamMeasurement>& measurements);
 
@@ -46,10 +53,15 @@ class OutcomeModels {
 
   [[nodiscard]] bool is_fit() const;
 
-  /// Training points held by the largest metric GP (the bank feeds all
-  /// five the same rows; they can differ only when a hardened GP rejected
-  /// non-finite rows of one metric).
+  /// Training points held by the largest metric GP. Every metric is fed
+  /// the same rows: in the shared layout they are one input set, and in
+  /// the per-metric layout the counts differ only when a hardened GP
+  /// rejected non-finite rows of one metric.
   [[nodiscard]] std::size_t num_points() const;
+
+  /// GPs behind the five metrics: 1 in the shared layout (one 5-output
+  /// GP), kNumMetrics in the per-metric layout.
+  [[nodiscard]] std::size_t num_models() const { return models_.size(); }
 
   /// Posterior mean of a metric at one configuration.
   [[nodiscard]] double mean(Metric metric,
@@ -70,16 +82,20 @@ class OutcomeModels {
   /// Posterior-mean table over the grid (one row per metric).
   [[nodiscard]] la::Matrix mean_grid_table() const;
 
-  /// Robustness diagnostics aggregated across the five metric GPs
-  /// (counts summed, jitters maxed).
+  /// Robustness diagnostics aggregated across the five metrics (counts
+  /// summed, jitters maxed; a shared-layout event counts once per metric,
+  /// as it would in five independent GPs).
   [[nodiscard]] gp::GpFitDiagnostics diagnostics() const;
 
-  /// Serialize all five metric GPs (grid geometry is derived from the
-  /// ConfigSpace at construction and is not serialized).
+  /// Serialize all five metrics as five single-output GP snapshots, in
+  /// either layout (grid geometry is derived from the ConfigSpace at
+  /// construction and is not serialized).
   [[nodiscard]] obs::json::Value snapshot() const;
 
-  /// Rebuild the five GPs from snapshot(). Must be constructed with the
-  /// same ConfigSpace and GpOptions as the snapshotted instance.
+  /// Rebuild the five metrics from snapshot(), into either layout. Must be
+  /// constructed with the same ConfigSpace and GpOptions as the
+  /// snapshotted instance. All or nothing: a rejected snapshot throws
+  /// pamo::Error and leaves every metric unchanged.
   void restore(const obs::json::Value& snap);
 
  private:
@@ -89,7 +105,12 @@ class OutcomeModels {
   std::vector<eva::StreamConfig> grid_;
   // pamo-analyze: allow(snapshot-coverage)
   std::vector<std::vector<double>> grid_inputs_;
-  std::vector<gp::GpRegressor> models_;  // one per metric
+  /// The GP holding `metric`, and the metric's output index in it.
+  [[nodiscard]] const gp::GpRegressor& model_of(std::size_t metric) const;
+  [[nodiscard]] std::size_t output_of(std::size_t metric) const;
+
+  // One 5-output GP (shared layout) or one GP per metric.
+  std::vector<gp::GpRegressor> models_;
 };
 
 }  // namespace pamo::core

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -144,46 +145,77 @@ struct Posterior {
   la::Matrix covariance;  // full joint covariance (noise-free latent)
 };
 
+/// Whether k target columns fit on one input set solve k copies of one
+/// linear system under `options`: fixed hyperparameters on the exact
+/// backend, with every per-column reweighting of the rows (robust noise,
+/// non-finite row dropping, drift forgetting) off. Only then may a
+/// GpRegressor carry more than one output.
+[[nodiscard]] bool outputs_share_system(const GpOptions& options);
+
+/// Exact (or inducing-point) GP over one input set with k >= 1 target
+/// columns ("outputs"). The inputs, hyperparameters, noise scales, Cholesky
+/// factor and posterior workspace are held once; each output has its own
+/// standardization, alpha, posterior-jitter diagnostic and posterior
+/// covariance. Every output's arithmetic is operation-for-operation that of
+/// a single-output GpRegressor fed the same column, so a k-output model is
+/// bit-identical to k independent ones while factoring and extending the
+/// training covariance, and building the posterior cross-covariances, once.
+/// Output-indexed members default to output 0, the only one of a
+/// single-output model.
 class GpRegressor {
  public:
-  explicit GpRegressor(GpOptions options = {});
+  /// `outputs` > 1 requires outputs_share_system(options).
+  explicit GpRegressor(GpOptions options = {}, std::size_t outputs = 1);
 
-  /// Fit to (x, y). Requires at least 2 points; all rows must share one
-  /// dimension. Refitting replaces previous data.
+  /// Fit a single-output model to (x, y). Requires at least 2 points; all
+  /// rows must share one dimension. Refitting replaces previous data.
   void fit(std::vector<std::vector<double>> x, std::vector<double> y);
 
-  /// Add observations and refit the linear algebra. Hyperparameters are
-  /// re-optimized only when `reoptimize` is true (it is the expensive part).
+  /// fit() for every output at once: y[c] holds output c's targets, one per
+  /// row of x.
+  void fit_outputs(std::vector<std::vector<double>> x,
+                   std::vector<std::vector<double>> y);
+
+  /// Add observations to a single-output model and refit the linear
+  /// algebra. Hyperparameters are re-optimized only when `reoptimize` is
+  /// true (it is the expensive part).
   void update(const std::vector<std::vector<double>>& x,
               const std::vector<double>& y, bool reoptimize = false);
 
+  /// update() for every output at once (y[c] as in fit_outputs).
+  void update_outputs(const std::vector<std::vector<double>>& x,
+                      const std::vector<std::vector<double>>& y,
+                      bool reoptimize = false);
+
   [[nodiscard]] bool is_fit() const { return !x_.empty(); }
   [[nodiscard]] std::size_t num_points() const { return x_.size(); }
+  [[nodiscard]] std::size_t num_outputs() const { return columns_.size(); }
   [[nodiscard]] std::size_t dim() const { return dim_; }
   [[nodiscard]] const KernelParams& params() const { return params_; }
 
-  /// Robustness bookkeeping since the last fit(). posterior_jitter is
+  /// Robustness bookkeeping of one output since the last fit(). Everything
+  /// but posterior_jitter is shared by the outputs; posterior_jitter is
   /// additionally updated by sample_joint (hence mutable state).
-  [[nodiscard]] const GpFitDiagnostics& diagnostics() const {
-    return diagnostics_;
-  }
+  [[nodiscard]] GpFitDiagnostics diagnostics(std::size_t output = 0) const;
 
   /// Posterior mean at one point (original target scale).
-  [[nodiscard]] double predict_mean(const std::vector<double>& x) const;
+  [[nodiscard]] double predict_mean(const std::vector<double>& x,
+                                    std::size_t output = 0) const;
 
   /// Posterior variance of the latent function at one point (original
   /// target scale, without observation noise).
-  [[nodiscard]] double predict_var(const std::vector<double>& x) const;
+  [[nodiscard]] double predict_var(const std::vector<double>& x,
+                                   std::size_t output = 0) const;
 
   /// Joint posterior over a set of points.
-  [[nodiscard]] Posterior posterior(
-      const std::vector<std::vector<double>>& x) const;
+  [[nodiscard]] Posterior posterior(const std::vector<std::vector<double>>& x,
+                                    std::size_t output = 0) const;
 
   /// Draw `num_samples` joint samples of the latent function at `x`.
   /// Result is (num_samples × x.size()).
   [[nodiscard]] la::Matrix sample_joint(
       const std::vector<std::vector<double>>& x, std::size_t num_samples,
-      Rng& rng) const;
+      Rng& rng, std::size_t output = 0) const;
 
   /// sample_joint with the standard normals supplied by the caller: row s
   /// of `z` (num_samples × x.size()) drives sample s. Lets callers pre-draw
@@ -191,41 +223,60 @@ class GpRegressor {
   /// colouring transform in parallel — sample_joint(x, S, rng) is exactly
   /// sample_joint_given(x, z) with z filled row-major from `rng`.
   [[nodiscard]] la::Matrix sample_joint_given(
-      const std::vector<std::vector<double>>& x, const la::Matrix& z) const;
+      const std::vector<std::vector<double>>& x, const la::Matrix& z,
+      std::size_t output = 0) const;
+
+  /// sample_joint_given for every output over one query set: z[c] drives
+  /// output c, and result[c] equals sample_joint_given(x, z[c], c). The
+  /// outputs' colouring transforms run in parallel.
+  [[nodiscard]] std::vector<la::Matrix> sample_outputs_given(
+      const std::vector<std::vector<double>>& x,
+      const std::vector<la::Matrix>& z) const;
 
   /// Log marginal likelihood of the standardized data under `params`.
-  [[nodiscard]] double log_marginal_likelihood(
-      const KernelParams& params) const;
+  [[nodiscard]] double log_marginal_likelihood(const KernelParams& params,
+                                               std::size_t output = 0) const;
 
-  /// Serialize the complete fitted state — training data, scaling,
-  /// hyperparameters, the Cholesky factor (with its jitter), alpha, the
-  /// robust-noise scales, diagnostics counters, and the factor epoch —
-  /// as deterministic JSON. The mutable posterior workspace is a pure
-  /// cache and is not serialized (recomputing it is bit-identical).
-  [[nodiscard]] obs::json::Value snapshot() const;
+  /// Serialize the complete fitted state of one output — training data,
+  /// scaling, hyperparameters, the Cholesky factor (with its jitter),
+  /// alpha, the robust-noise scales, diagnostics counters, and the factor
+  /// epoch — as deterministic JSON, byte-identical to the snapshot of a
+  /// single-output model fed that output's column. The mutable posterior
+  /// workspace is a pure cache and is not serialized (recomputing it is
+  /// bit-identical).
+  [[nodiscard]] obs::json::Value snapshot(std::size_t output = 0) const;
 
-  /// Rebuild the fitted state from snapshot(). The regressor must have
+  /// Rebuild a single-output model from snapshot(). The regressor must have
   /// been constructed with the same GpOptions as the snapshotted one;
   /// after restore, every prediction, sample, and incremental update is
-  /// bit-for-bit identical to the original instance's.
+  /// bit-for-bit identical to the original instance's. A malformed or
+  /// inconsistent snapshot throws pamo::Error and leaves this model
+  /// untouched.
   void restore(const obs::json::Value& snap);
+
+  /// restore() for every output: snaps[c] is output c's snapshot(), and
+  /// all of them must describe one shared system (same inputs, factor,
+  /// noise scales and shared diagnostics). All or nothing, like restore().
+  void restore_outputs(std::span<const obs::json::Value> snaps);
 
  private:
   /// Cross-covariance workspace reused by posterior() across calls over
   /// the same query set. `key` fingerprints the scaled query rows (with an
   /// exact row comparison against `xs` to rule out hash collisions);
   /// `factor_epoch` ties V to the factor it was computed against, and
-  /// `train_rows` lets an incrementally-extended factor extend k_cross/V
-  /// by the new training rows instead of recomputing them.
+  /// `train_rows` lets an incrementally-extended factor extend k_cross, V
+  /// and VᵀV by the new training rows instead of recomputing them. Every
+  /// member is shared by the outputs.
   struct PosteriorWorkspace {
     bool valid = false;
     std::uint64_t key = 0;
     std::uint64_t factor_epoch = 0;
     std::size_t train_rows = 0;
     std::vector<std::vector<double>> xs;  // scaled query rows
-    la::Matrix k_cross;                   // m × n
+    la::Matrix k_cross;                   // n × m, K*ᵀ (training-row major)
     la::Matrix k_test;                    // m × m
     la::Matrix v;                         // n × m, V = L⁻¹ K*ᵀ
+    la::Matrix vtv;                       // m × m, VᵀV
   };
 
   /// Fitted state of the kInducing backend (absent under kExact). All of
@@ -242,17 +293,40 @@ class GpRegressor {
     la::Vector alpha;                    // B⁻¹ b
   };
 
+  /// Everything that depends on one output's target values.
+  struct Column {
+    std::vector<double> y_raw;  // original scale
+    double y_mean = 0.0, y_std = 1.0;
+    std::vector<double> y;  // standardized
+    la::Vector alpha;       // (K + σ²Λ)⁻¹ y (exact backend)
+    // Largest jitter used to repair this output's sampled posterior
+    // covariance (GpFitDiagnostics::posterior_jitter).
+    mutable double posterior_jitter = 0.0;
+  };
+
   void rebuild(bool optimize_hyperparams);
   /// O(n²) update: extend the cached factor by the last `new_rows` rows of
-  /// x_raw_/y_raw_. Returns false when the extension would not be
-  /// bit-identical to a full rebuild (see GpOptions::incremental); the
-  /// fitted state is untouched then.
+  /// x_raw_ and every column's y_raw. Returns false when the extension
+  /// would not be bit-identical to a full rebuild (see
+  /// GpOptions::incremental); the fitted state is untouched then.
   bool try_incremental_update(std::size_t new_rows);
   /// Bring workspace_ up to date for the scaled query rows `xs`.
   void refresh_posterior_workspace(std::vector<std::vector<double>>&& xs) const;
-  /// Factorize K(x_, x_) + σ²·diag(noise_scale_) and solve for alpha_,
-  /// recovering from Cholesky failures by widening the jitter cap.
-  /// Routes to solve_sparse() under GpBackend::kInducing.
+  /// Joint posterior of every output over `x` (result[c] is output c's):
+  /// scale the rows, then refresh the one workspace (or route to the
+  /// sparse backend).
+  [[nodiscard]] std::vector<Posterior> posteriors(
+      const std::vector<std::vector<double>>& x) const;
+  /// Colour the standard normals `z` with a posterior of `column`.
+  [[nodiscard]] la::Matrix colour(const Posterior& post, const la::Matrix& z,
+                                  const Column& column) const;
+  /// Redo the min-max input scaling over every raw row.
+  void rescale_inputs();
+  /// Re-standardize every column's targets over every raw row.
+  void standardize_targets();
+  /// Factorize K(x_, x_) + σ²·diag(noise_scale_) and solve every column
+  /// for its alpha, recovering from Cholesky failures by widening the
+  /// jitter cap. Routes to solve_sparse() under GpBackend::kInducing.
   void solve_system();
   /// kInducing: select the inducing set from the current training rows and
   /// solve the DTC system (Lm, B, b, alpha) from scratch in O(m²n).
@@ -268,12 +342,15 @@ class GpRegressor {
   /// Sparse-system snapshot codec (gp_snapshot.cpp).
   static obs::json::Value sparse_to_json(const SparseState& s);
   static SparseState sparse_from_json(const obs::json::Value& v);
+  /// Decode one output's snapshot into this (freshly constructed) model's
+  /// shared state and first column; unchecked (see restore_outputs).
+  void restore_column(const obs::json::Value& snap);
+  /// Throw unless the decoded state is internally consistent: every array
+  /// sized to the training set, the factor n×n, every row `dim` wide.
+  void validate_restored() const;
   /// The solved system covers every kept training row (postcondition of
   /// fit()/update(), backend-independent).
-  [[nodiscard]] bool solved_over_all_rows() const {
-    return sparse_.has_value() ? sparse_->kmn.cols() == x_raw_.size()
-                               : alpha_.size() == x_raw_.size();
-  }
+  [[nodiscard]] bool solved_over_all_rows() const;
   /// One pass of iteratively reweighted noise: inflate noise_scale_ for
   /// points with large standardized residuals, then re-solve. Returns
   /// false (leaving the solve untouched, bit-for-bit) when no residual
@@ -285,8 +362,10 @@ class GpRegressor {
   /// forgetting survives. Hyperparameters are never re-optimized here —
   /// skipping the MLE is exactly the cost the detector avoids.
   void refit_keep_noise(std::size_t new_rows);
-  /// Drop non-finite rows (reject_nonfinite) or reject them loudly.
-  void sanitize(std::vector<std::vector<double>>& x, std::vector<double>& y);
+  /// Drop rows with a non-finite input or target in any column
+  /// (reject_nonfinite; returns how many) or reject them loudly.
+  std::size_t sanitize(std::vector<std::vector<double>>& x,
+                       std::vector<std::vector<double>>& y) const;
   [[nodiscard]] double lml_on(const std::vector<std::vector<double>>& xs,
                               const std::vector<double>& ys,
                               const KernelParams& params) const;
@@ -298,30 +377,27 @@ class GpRegressor {
   GpOptions options_;
   std::size_t dim_ = 0;
 
-  // Raw training data (original scale).
+  // Raw training inputs (original scale) and their min-max scaling.
   std::vector<std::vector<double>> x_raw_;
-  std::vector<double> y_raw_;
-
-  // Input scaling (min-max per dimension) and target standardization.
   std::vector<double> x_lo_, x_hi_;
-  double y_mean_ = 0.0, y_std_ = 1.0;
 
-  // Scaled training data and fitted state.
+  // Scaled training inputs and the shared fitted state.
   std::vector<std::vector<double>> x_;
-  std::vector<double> y_;  // standardized
   KernelParams params_;
   std::optional<la::Cholesky> chol_;
-  la::Vector alpha_;  // (K + σ²I)⁻¹ y
-  // kInducing backend state (absent under kExact; exactly one of
-  // chol_/alpha_ and sparse_ is populated after a fit).
+  // kInducing backend state (absent under kExact; exactly one of chol_
+  // and sparse_ is populated after a fit).
   std::optional<SparseState> sparse_;
+  // Per-output targets and solves; never empty.
+  std::vector<Column> columns_;
 
   // Per-point noise-variance inflation factors (≥ 1; 1 when the robust
   // fit is off or the point is an inlier).
   std::vector<double> noise_scale_;
   // Running CUSUM score of the drift detector (see GpOptions).
   double drift_cusum_ = 0.0;
-  mutable GpFitDiagnostics diagnostics_;
+  // Shared diagnostics; posterior_jitter is kept per column instead.
+  GpFitDiagnostics diagnostics_;
 
   // Bumped by every full refactorization (solve_system); incremental
   // factor extensions keep it, which is what lets the posterior workspace

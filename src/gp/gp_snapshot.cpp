@@ -7,6 +7,10 @@
 // Mead tie) would silently fork the BO trajectory after resume. Restoring
 // the exact factor also preserves incremental-update eligibility, which
 // requires jitter == 0 on the cached factor.
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "ckpt/codec.hpp"
@@ -113,47 +117,54 @@ GpRegressor::SparseState GpRegressor::sparse_from_json(const json::Value& v) {
   return s;
 }
 
-// pamo-analyze: snapshot(GpRegressor)
-json::Value GpRegressor::snapshot() const {
-  PAMO_CHECK(x_.size() == y_.size() && x_raw_.size() == y_raw_.size(),
+// pamo-analyze: snapshot(GpRegressor, Column)
+json::Value GpRegressor::snapshot(std::size_t output) const {
+  PAMO_CHECK(output < columns_.size(), "GP output index out of range");
+  const Column& col = columns_[output];
+  PAMO_CHECK(x_.size() == col.y.size() && x_raw_.size() == col.y_raw.size(),
              "GP snapshot over inconsistent training arrays");
+  GpFitDiagnostics diagnostics = diagnostics_;
+  diagnostics.posterior_jitter = col.posterior_jitter;  // kept per output
   json::Value obj = json::Value::object();
   obj.set("dim", json::Value(std::uint64_t{dim_}));
   obj.set("x_raw", codec::rows_to_json(x_raw_));
-  obj.set("y_raw", codec::doubles_to_json(y_raw_));
+  obj.set("y_raw", codec::doubles_to_json(col.y_raw));
   obj.set("x_lo", codec::doubles_to_json(x_lo_));
   obj.set("x_hi", codec::doubles_to_json(x_hi_));
-  obj.set("y_mean", json::Value(y_mean_));
-  obj.set("y_std", json::Value(y_std_));
+  obj.set("y_mean", json::Value(col.y_mean));
+  obj.set("y_std", json::Value(col.y_std));
   obj.set("x", codec::rows_to_json(x_));
-  obj.set("y", codec::doubles_to_json(y_));
+  obj.set("y", codec::doubles_to_json(col.y));
   obj.set("params", params_to_json(params_));
   obj.set("chol", codec::cholesky_to_json(chol_));
-  obj.set("alpha", codec::doubles_to_json(alpha_));
+  obj.set("alpha", codec::doubles_to_json(col.alpha));
   obj.set("noise_scale", codec::doubles_to_json(noise_scale_));
-  obj.set("diagnostics", diagnostics_to_json(diagnostics_));
+  obj.set("diagnostics", diagnostics_to_json(diagnostics));
   obj.set("factor_epoch", json::Value(factor_epoch_));
   obj.set("drift_cusum", json::Value(drift_cusum_));
   if (sparse_.has_value()) obj.set("sparse", sparse_to_json(*sparse_));
   return obj;
 }
 
-// pamo-analyze: snapshot(GpRegressor)
-void GpRegressor::restore(const json::Value& snap) {
+// pamo-analyze: snapshot(GpRegressor, Column)
+void GpRegressor::restore_column(const json::Value& snap) {
+  Column& col = columns_.front();
   dim_ = static_cast<std::size_t>(snap.at("dim").as_uint());
   x_raw_ = codec::rows_from_json(snap.at("x_raw"));
-  y_raw_ = codec::doubles_from_json(snap.at("y_raw"));
+  col.y_raw = codec::doubles_from_json(snap.at("y_raw"));
   x_lo_ = codec::doubles_from_json(snap.at("x_lo"));
   x_hi_ = codec::doubles_from_json(snap.at("x_hi"));
-  y_mean_ = snap.at("y_mean").as_double();
-  y_std_ = snap.at("y_std").as_double();
+  col.y_mean = snap.at("y_mean").as_double();
+  col.y_std = snap.at("y_std").as_double();
   x_ = codec::rows_from_json(snap.at("x"));
-  y_ = codec::doubles_from_json(snap.at("y"));
+  col.y = codec::doubles_from_json(snap.at("y"));
   params_ = params_from_json(snap.at("params"));
   chol_ = codec::cholesky_from_json(snap.at("chol"));
-  alpha_ = codec::doubles_from_json(snap.at("alpha"));
+  col.alpha = codec::doubles_from_json(snap.at("alpha"));
   noise_scale_ = codec::doubles_from_json(snap.at("noise_scale"));
   diagnostics_ = diagnostics_from_json(snap.at("diagnostics"));
+  col.posterior_jitter = diagnostics_.posterior_jitter;  // kept per output
+  diagnostics_.posterior_jitter = 0.0;
   factor_epoch_ = snap.at("factor_epoch").as_uint();
   // Backward-readable addition: pre-drift snapshots carry no CUSUM state.
   const json::Value* cusum = snap.find("drift_cusum");
@@ -163,18 +174,95 @@ void GpRegressor::restore(const json::Value& snap) {
   const json::Value* sparse = snap.find("sparse");
   sparse_ = sparse ? std::optional<SparseState>(sparse_from_json(*sparse))
                    : std::nullopt;
-  PAMO_CHECK(x_.size() == y_.size() && x_raw_.size() == y_raw_.size(),
-             "GP snapshot is internally inconsistent");
-  PAMO_CHECK(!is_fit() || sparse_.has_value() ||
-                 (chol_.has_value() && alpha_.size() == x_.size()),
-             "fitted GP snapshot must carry its factorization");
-  PAMO_CHECK(!sparse_.has_value() ||
-                 (sparse_->lm.has_value() && sparse_->lb.has_value() &&
-                  sparse_->kmn.cols() == x_.size() &&
-                  sparse_->alpha.size() == sparse_->z.size()),
+}
+
+namespace {
+
+/// What every output of one shared system has in common, as bytes: the
+/// snapshot without its targets, standardization and alpha, and with the
+/// per-output posterior jitter cleared.
+std::string shared_part(const json::Value& snap) {
+  json::Value shared = json::Value::object();
+  for (const auto& [key, value] : snap.members()) {
+    if (key == "y_raw" || key == "y_mean" || key == "y_std" || key == "y" ||
+        key == "alpha" || key == "diagnostics") {
+      continue;
+    }
+    shared.set(key, value);
+  }
+  GpFitDiagnostics diagnostics = diagnostics_from_json(snap.at("diagnostics"));
+  diagnostics.posterior_jitter = 0.0;
+  shared.set("diagnostics", diagnostics_to_json(diagnostics));
+  return shared.dump();
+}
+
+}  // namespace
+
+void GpRegressor::validate_restored() const {
+  const std::size_t n = x_.size();
+  auto dim_wide = [this](const std::vector<std::vector<double>>& rows) {
+    return std::all_of(rows.begin(), rows.end(),
+                       [this](const auto& row) { return row.size() == dim_; });
+  };
+  PAMO_CHECK(x_raw_.size() == n && noise_scale_.size() == n,
+             "GP snapshot is internally inconsistent: training arrays "
+             "disagree in length");
+  PAMO_CHECK(x_lo_.size() == dim_ && x_hi_.size() == dim_ &&
+                 dim_wide(x_raw_) && dim_wide(x_),
+             "GP snapshot rows and scaling bounds must have dim entries");
+  for (const Column& col : columns_) {
+    PAMO_CHECK(col.y_raw.size() == n && col.y.size() == n,
+               "GP snapshot targets disagree with the training inputs");
+  }
+  if (!is_fit()) {
+    PAMO_CHECK(!chol_.has_value() && !sparse_.has_value(),
+               "unfitted GP snapshot must not carry a factorization");
+    return;
+  }
+  PAMO_CHECK(params_.dim() == dim_, "GP snapshot hyperparameter dim mismatch");
+  if (!sparse_.has_value()) {
+    PAMO_CHECK(chol_.has_value() && chol_->lower().rows() == n,
+               "fitted GP snapshot must carry its n x n factorization");
+    for (const Column& col : columns_) {
+      PAMO_CHECK(col.alpha.size() == n,
+                 "fitted GP snapshot must carry alpha over every row");
+    }
+    return;
+  }
+  const SparseState& s = *sparse_;
+  const std::size_t m = s.z.size();
+  PAMO_CHECK(columns_.size() == 1 && !chol_.has_value() &&
+                 s.lm.has_value() && s.lb.has_value() &&
+                 s.lm->lower().rows() == m && s.lb->lower().rows() == m &&
+                 s.kmn.rows() == m && s.kmn.cols() == n && s.b.size() == m &&
+                 s.alpha.size() == m && dim_wide(s.z),
              "sparse GP snapshot must carry a complete inducing system");
-  // The posterior workspace is a cache keyed to the live factor; drop it.
-  workspace_ = PosteriorWorkspace{};
+}
+
+// pamo-analyze: snapshot(GpRegressor)
+void GpRegressor::restore(const json::Value& snap) {
+  restore_outputs(std::span<const json::Value>(&snap, 1));
+}
+
+// pamo-analyze: snapshot(GpRegressor)
+void GpRegressor::restore_outputs(std::span<const json::Value> snaps) {
+  PAMO_CHECK(snaps.size() == columns_.size(), "one snapshot per GP output");
+  // Decode and check everything into a scratch model, then commit: a
+  // rejected snapshot leaves this model exactly as it was.
+  GpRegressor next(options_, columns_.size());
+  next.restore_column(snaps[0]);
+  const std::string shared = snaps.size() > 1 ? shared_part(snaps[0]) : "";
+  for (std::size_t c = 1; c < snaps.size(); ++c) {
+    PAMO_CHECK(shared_part(snaps[c]) == shared,
+               "GP output snapshots do not describe one shared system");
+    GpRegressor other(options_);
+    other.restore_column(snaps[c]);
+    next.columns_[c] = std::move(other.columns_.front());
+  }
+  next.validate_restored();
+  // The posterior workspace of `next` is empty: a cache keyed to the live
+  // factor is never carried across a restore.
+  *this = std::move(next);
 }
 
 }  // namespace pamo::gp

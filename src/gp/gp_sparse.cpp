@@ -23,7 +23,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "gp/gp_regressor.hpp"
 #include "obs/obs.hpp"
 
@@ -77,6 +76,8 @@ void GpRegressor::solve_sparse() {
   la::Matrix b_mat = std::move(kmm);
   b_mat.add_diagonal(s.lm->jitter());
   const double noise = std::exp(params_.log_noise_var);
+  // The inducing backend has a single output (outputs_share_system).
+  const std::vector<double>& y = columns_.front().y;
   s.b = la::Vector(m, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const double inv_d = 1.0 / (noise * noise_scale_[i]);
@@ -85,7 +86,7 @@ void GpRegressor::solve_sparse() {
       for (std::size_t c = 0; c < m; ++c) {
         b_mat(r, c) += kri * s.kmn(c, i);
       }
-      s.b[r] += kri * y_[i];
+      s.b[r] += kri * y[i];
     }
   }
   s.lb = factor_with_ladder(b_mat, diagnostics_);
@@ -94,7 +95,7 @@ void GpRegressor::solve_sparse() {
   sparse_ = std::move(s);
   // Exactly one backend owns the solved state.
   chol_.reset();
-  alpha_.clear();
+  for (Column& col : columns_) col.alpha.clear();
   ++factor_epoch_;  // any cached posterior workspace is now stale
   PAMO_ENSURES(sparse_->kmn.cols() == n && sparse_->alpha.size() == m,
                "sparse solve covers every training row through m inducing "
@@ -133,16 +134,13 @@ bool GpRegressor::try_sparse_update(std::size_t new_rows) {
   // Re-standardize the targets over the grown set (the rebuild arithmetic)
   // and re-solve the m-dimensional system: O(mn) + O(m²).
   const std::size_t n = x_.size();
-  y_mean_ = mean_of(y_raw_);
-  y_std_ = stddev_of(y_raw_);
-  if (y_std_ < 1e-12) y_std_ = 1.0;  // constant targets: keep scale sane
-  y_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) y_[i] = (y_raw_[i] - y_mean_) / y_std_;
+  standardize_targets();
+  const std::vector<double>& y = columns_.front().y;
   s.b = la::Vector(m, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const double inv_d = 1.0 / (noise * noise_scale_[i]);
     for (std::size_t r = 0; r < m; ++r) {
-      s.b[r] += s.kmn(r, i) * inv_d * y_[i];
+      s.b[r] += s.kmn(r, i) * inv_d * y[i];
     }
   }
   s.alpha = s.lb->solve(s.b);
@@ -161,16 +159,17 @@ Posterior GpRegressor::sparse_posterior(
   const la::Matrix q1 = la::matmul_blocked(v1.transposed(), v1);
   const la::Matrix q2 = la::matmul_blocked(v2.transposed(), v2);
 
+  const Column& col = columns_.front();
   Posterior post;
   post.mean.resize(q);
   const std::size_t m = s.z.size();
   for (std::size_t c = 0; c < q; ++c) {
     double sum = 0.0;
     for (std::size_t r = 0; r < m; ++r) sum += kzq(r, c) * s.alpha[r];
-    post.mean[c] = y_mean_ + y_std_ * sum;
+    post.mean[c] = col.y_mean + col.y_std * sum;
   }
   post.covariance = la::Matrix(q, q);
-  const double scale2 = y_std_ * y_std_;
+  const double scale2 = col.y_std * col.y_std;
   for (std::size_t i = 0; i < q; ++i) {
     for (std::size_t j = 0; j < q; ++j) {
       post.covariance(i, j) =

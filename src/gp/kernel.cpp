@@ -26,13 +26,25 @@ KernelParams KernelParams::unpack(const std::vector<double>& packed,
 
 namespace {
 
-/// Scaled squared distance Σ ((x_i - z_i) / ℓ_i)².
-double scaled_sqdist(const KernelParams& params, const std::vector<double>& x,
+/// 1/ℓ_i per dimension. Matrix builders compute it once per call instead
+/// of once per pair; exp is a pure function, so every distance is the same
+/// double either way.
+std::vector<double> inverse_lengthscales(const KernelParams& params) {
+  std::vector<double> inv_ls(params.dim());
+  for (std::size_t i = 0; i < inv_ls.size(); ++i) {
+    inv_ls[i] = std::exp(-params.log_lengthscales[i]);
+  }
+  return inv_ls;
+}
+
+/// Scaled squared distance Σ ((x_i - z_i) / ℓ_i)², with 1/ℓ_i given by
+/// `inv_ls(i)`.
+template <typename InvLs>
+double scaled_sqdist(const InvLs& inv_ls, const std::vector<double>& x,
                      const std::vector<double>& z) {
   double sum = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const double inv_ls = std::exp(-params.log_lengthscales[i]);
-    const double d = (x[i] - z[i]) * inv_ls;
+    const double d = (x[i] - z[i]) * inv_ls(i);
     sum += d * d;
   }
   return sum;
@@ -59,7 +71,10 @@ double kernel_value(KernelType type, const KernelParams& params,
   PAMO_CHECK(x.size() == params.dim() && z.size() == params.dim(),
              "kernel input dimension mismatch");
   const double sf2 = std::exp(params.log_signal_var);
-  return kernel_from_sqdist(type, sf2, scaled_sqdist(params, x, z));
+  const auto inv_ls = [&params](std::size_t i) {
+    return std::exp(-params.log_lengthscales[i]);
+  };
+  return kernel_from_sqdist(type, sf2, scaled_sqdist(inv_ls, x, z));
 }
 
 la::Matrix kernel_matrix(KernelType type, const KernelParams& params,
@@ -68,12 +83,14 @@ la::Matrix kernel_matrix(KernelType type, const KernelParams& params,
              "kernel input dimension mismatch");
   const std::size_t n = x.size();
   const double sf2 = std::exp(params.log_signal_var);
+  const std::vector<double> hoisted = inverse_lengthscales(params);
+  const auto inv_ls = [&hoisted](std::size_t i) { return hoisted[i]; };
   la::Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     k(i, i) = sf2;
     for (std::size_t j = i + 1; j < n; ++j) {
       const double v =
-          kernel_from_sqdist(type, sf2, scaled_sqdist(params, x[i], x[j]));
+          kernel_from_sqdist(type, sf2, scaled_sqdist(inv_ls, x[i], x[j]));
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -84,12 +101,17 @@ la::Matrix kernel_matrix(KernelType type, const KernelParams& params,
 la::Matrix kernel_cross(KernelType type, const KernelParams& params,
                         const std::vector<std::vector<double>>& x,
                         const std::vector<std::vector<double>>& z) {
+  PAMO_CHECK((x.empty() || x.front().size() == params.dim()) &&
+                 (z.empty() || z.front().size() == params.dim()),
+             "kernel input dimension mismatch");
   const double sf2 = std::exp(params.log_signal_var);
+  const std::vector<double> hoisted = inverse_lengthscales(params);
+  const auto inv_ls = [&hoisted](std::size_t i) { return hoisted[i]; };
   la::Matrix k(x.size(), z.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     for (std::size_t j = 0; j < z.size(); ++j) {
       k(i, j) =
-          kernel_from_sqdist(type, sf2, scaled_sqdist(params, x[i], z[j]));
+          kernel_from_sqdist(type, sf2, scaled_sqdist(inv_ls, x[i], z[j]));
     }
   }
   return k;

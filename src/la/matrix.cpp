@@ -32,6 +32,11 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
+void Matrix::append_rows(std::size_t count, double fill) {
+  rows_ += count;
+  data_.resize(rows_ * cols_, fill);
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
   PAMO_CHECK(a.cols() == b.rows(), "matmul dimension mismatch");
   Matrix c(a.rows(), b.cols(), 0.0);

@@ -35,6 +35,10 @@ class Matrix {
 
   [[nodiscard]] Matrix transposed() const;
 
+  /// Grow by `count` rows of `fill` at the bottom. Storage is row-major,
+  /// so every existing entry keeps its value and position.
+  void append_rows(std::size_t count, double fill = 0.0);
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -148,6 +149,37 @@ TEST(ServiceFleet, FleetRoutedEpochsReproduceAcrossServices) {
     EXPECT_EQ(ra.benefit_trace.size(), 1u);
     EXPECT_EQ(ra.config.size(), workload.num_streams());
     EXPECT_EQ(digest_epoch(ra), digest_epoch(rb)) << "epoch " << epoch;
+  }
+}
+
+TEST(ServiceFleet, FixedParamsFleetDecisionsMatchGoldenDigests) {
+  // Fleet decisions pinned across commits: a fixed-hyperparameter fleet
+  // (the fleet_3k benchmark's GP setting) must keep choosing exactly these
+  // schedules. A change to how the outcome GPs are computed that alters a
+  // single bit of a posterior shows up here as a different digest.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {{7, 0x75fcad1e899fd708ULL},
+                             {20241017, 0xf95a3aa93c900b06ULL}};
+  for (const Golden& golden : goldens) {
+    const eva::Workload workload =
+        eva::make_fleet_workload(120, 12, golden.seed);
+    FleetOptions options;
+    options.enabled = true;
+    options.shard.target_streams = 12;
+    options.pamo.seed = golden.seed;
+    gp::KernelParams params;
+    params.log_lengthscales.assign(2, std::log(0.35));
+    params.log_signal_var = std::log(1.0);
+    params.log_noise_var = std::log(1e-2);
+    options.pamo.gp.fixed_params = params;
+    const pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+    const PamoResult result = run_fleet_epoch(workload, options, oracle);
+    ASSERT_TRUE(result.feasible) << "seed " << golden.seed;
+    EXPECT_EQ(digest_schedule(result.best_schedule), golden.digest)
+        << "seed " << golden.seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -26,6 +27,30 @@ TEST(GpRegressor, RejectsBadInput) {
   EXPECT_THROW(gp.fit({{0.0}, {1.0}}, {1.0}), Error);      // size mismatch
   EXPECT_THROW(gp.fit({{0.0}, {1.0, 2.0}}, {1.0, 2.0}), Error);  // ragged
   EXPECT_THROW(static_cast<void>(gp.predict_mean({0.0})), Error);  // before fit
+}
+
+TEST(GpRegressor, RejectedRefitLeavesAFittedModelUnchanged) {
+  GpOptions options = fast_options();
+  options.drift_cusum_h = 5.0;  // keeps noise scales across rebuilds
+  GpRegressor gp(options);
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (int i = 0; i <= 8; ++i) {
+    x.push_back({0.1 * i});
+    y.push_back(f1(0.1 * i));
+  }
+  gp.fit(x, y);
+  const std::string before = gp.snapshot().dump();
+  const double nan = std::nan("");
+  EXPECT_THROW(gp.fit({{0.0}}, {1.0}), Error);                   // < 2 points
+  EXPECT_THROW(gp.fit({{0.0}, {1.0, 2.0}}, {1.0, 2.0}), Error);  // ragged
+  EXPECT_THROW(gp.fit({{0.0}, {1.0}}, {1.0, nan}), Error);       // non-finite
+  EXPECT_EQ(gp.snapshot().dump(), before);
+  // Still consistent: an update extends the old system and round-trips.
+  gp.update({{0.45}}, {f1(0.45)});
+  GpRegressor restored(options);
+  restored.restore(gp.snapshot());
+  EXPECT_EQ(restored.snapshot().dump(), gp.snapshot().dump());
 }
 
 TEST(GpRegressor, InterpolatesTrainingData) {

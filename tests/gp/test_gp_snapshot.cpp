@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -157,16 +158,56 @@ TEST(GpSnapshot, RestoreRejectsMangledSnapshots) {
   options.mle_max_evals = 40;
   GpRegressor original(options);
   original.fit(x, y);
+  const std::string bytes = original.snapshot().dump();
+  auto mangle = [&bytes](const char* key, obs::json::Value value) {
+    obs::json::Value mangled = obs::json::Value::parse(bytes);
+    mangled.set(key, std::move(value));
+    return mangled;
+  };
 
-  obs::json::Value snap = original.snapshot();
-  // Drop rows from y only: sizes disagree, restore must throw, and the
-  // target model must not be half-written into a fit state.
-  obs::json::Value mangled = obs::json::Value::parse(snap.dump());
+  // Drop rows from y only: sizes disagree.
   obs::json::Value shorter = obs::json::Value::array();
   shorter.push_back(obs::json::Value(1.0));
-  mangled.set("y_raw", std::move(shorter));
-  GpRegressor victim(options);
-  EXPECT_THROW(victim.restore(mangled), pamo::Error);
+  // A 3x3 factor for 12 training rows.
+  obs::json::Value lower = obs::json::Value::object();
+  lower.set("rows", obs::json::Value(std::uint64_t{3}));
+  lower.set("cols", obs::json::Value(std::uint64_t{3}));
+  obs::json::Value data = obs::json::Value::array();
+  for (int i = 0; i < 9; ++i) {
+    data.push_back(obs::json::Value(i % 4 == 0 ? 1.0 : 0.0));
+  }
+  lower.set("data", std::move(data));
+  obs::json::Value small_chol = obs::json::Value::object();
+  small_chol.set("lower", std::move(lower));
+  small_chol.set("jitter", obs::json::Value(0.0));
+  // Scaling bounds with one entry for 2-D inputs.
+  obs::json::Value narrow = obs::json::Value::array();
+  narrow.push_back(obs::json::Value(0.0));
+  const obs::json::Value mangled[] = {
+      mangle("y_raw", std::move(shorter)),
+      mangle("chol", std::move(small_chol)),
+      mangle("x_lo", std::move(narrow)),
+      mangle("alpha", obs::json::Value::array())};
+
+  for (const obs::json::Value& snap : mangled) {
+    // A fresh model must not be left half-written into a fit state.
+    GpRegressor fresh(options);
+    EXPECT_THROW(fresh.restore(snap), pamo::Error);
+    EXPECT_FALSE(fresh.is_fit());
+
+    // A fitted model keeps every bit of its state.
+    Rng other_rng(106);
+    const auto x_other = grid_inputs(10, other_rng);
+    GpRegressor victim(options);
+    victim.fit(x_other, targets_of(x_other, other_rng));
+    const std::string before = victim.snapshot().dump();
+    const double mean_before = victim.predict_mean({0.35, 0.4});
+    const double var_before = victim.predict_var({0.35, 0.4});
+    EXPECT_THROW(victim.restore(snap), pamo::Error);
+    EXPECT_EQ(victim.snapshot().dump(), before);
+    EXPECT_EQ(bits(victim.predict_mean({0.35, 0.4})), bits(mean_before));
+    EXPECT_EQ(bits(victim.predict_var({0.35, 0.4})), bits(var_before));
+  }
 }
 
 }  // namespace
