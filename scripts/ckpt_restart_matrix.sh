@@ -7,7 +7,8 @@
 # std::_Exit(137) mid-protocol — no destructors, no stream flushes, the
 # closest a test gets to a power cut. For every kill point the script
 # kills a run, resumes it from disk, and requires the completed digest
-# trajectory to be byte-identical to an uninterrupted baseline. Two final
+# trajectory to be byte-identical to an uninterrupted baseline. The churn
+# lane's newest snapshot must also fit a byte budget. Two final
 # scenarios truncate the newest snapshot on disk, or plant a hostile one
 # nested far past the JSON parser's depth limit, and require resume to
 # fall back to the previous one and still converge.
@@ -85,6 +86,18 @@ CHURN_BASELINE=$(trajectory_of "$WORK/churn_baseline.out")
 [ "$CHURN_BASELINE" != "$BASELINE" ] \
   || fail "churn baseline identical to churn-free baseline (churn inert?)"
 echo "$CHURN_BASELINE"
+
+# Size budget on the churn lane's newest snapshot. Exact Cholesky factors
+# are re-derived on restore rather than stored, which puts this snapshot
+# (4 epochs, 5 streams, 4 servers) at ~110 KB; storing the factors again
+# makes it ~3.2 MB. The budget is about twice the measured size.
+CHURN_CKPT_BUDGET=220000
+newest=$(ls "$WORK/churn_baseline"/ckpt-*.json | sort | tail -n 1)
+size=$(wc -c < "$newest")
+[ "$size" -le "$CHURN_CKPT_BUDGET" ] || fail "churn snapshot \
+$(basename "$newest") is $size bytes, over the $CHURN_CKPT_BUDGET-byte \
+budget (does the checkpoint store a re-derivable factor again?)"
+echo "newest churn snapshot: $size bytes (budget $CHURN_CKPT_BUDGET)"
 
 CHURN_MATRIX=(
   daemon.epoch.begin:2

@@ -2,13 +2,15 @@
 //
 // Every snapshot()/restore() pair across the learning stack speaks the
 // same primitives: bit-exact doubles (obs::json's to_chars round-trip),
-// length-preserving arrays, row-major matrices, and the two special cases
-// the deterministic exporter cannot express directly — infinity (encoded
-// as null; sim::FaultPlan's kNever) and raw RNG state. Header-only so the
-// libraries that snapshot (gp, pref, eva, core) pick these up without a
-// link-order knot.
+// length-preserving arrays, row-major matrices, Cholesky factors (stored
+// as a jitter and re-derived on restore where that is bit-exact), and the
+// two special cases the deterministic exporter cannot express directly —
+// infinity (encoded as null; sim::FaultPlan's kNever) and raw RNG state.
+// Header-only so the libraries that snapshot (gp, pref, eva, core) pick
+// these up without a link-order knot.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -90,7 +92,10 @@ inline la::Matrix matrix_from_json(const obs::json::Value& v) {
   return m;
 }
 
-/// Optional Cholesky: null when absent, {lower, jitter} otherwise.
+/// Optional Cholesky stored whole: null when absent, {lower, jitter}
+/// otherwise. Only for factors that cannot be re-derived bit for bit from
+/// the rest of a snapshot — the sparse GP backend's rank-one-updated B and
+/// its companion Kmm factor. Exact factors go through factor_to_json.
 // pamo-analyze: snapshot(Cholesky)
 inline obs::json::Value cholesky_to_json(
     const std::optional<la::Cholesky>& chol) {
@@ -107,6 +112,60 @@ inline std::optional<la::Cholesky> cholesky_from_json(
   if (v.kind() == obs::json::Value::Kind::kNull) return std::nullopt;
   return la::Cholesky::from_parts(matrix_from_json(v.at("lower")),
                                   v.at("jitter").as_double());
+}
+
+/// A Cholesky factor that restore re-derives instead of reading back: the
+/// factor is a pure function of state its snapshot already stores (the
+/// matrix it factors), so only the jitter it was factored at is kept.
+/// Snapshots written before re-derivation also carry the factor itself as
+/// `lower`; it is read so restore can check it against the re-derivation.
+struct FactorRecord {
+  double jitter = 0.0;
+  std::optional<la::Matrix> lower;  // present in older snapshots only
+};
+
+/// Optional re-derivable factor: null when absent, {jitter} otherwise.
+inline obs::json::Value factor_to_json(
+    const std::optional<la::Cholesky>& chol) {
+  if (!chol.has_value()) return obs::json::Value();
+  obs::json::Value obj = obs::json::Value::object();
+  obj.set("jitter", obs::json::Value(chol->jitter()));
+  return obj;
+}
+
+inline std::optional<FactorRecord> factor_from_json(
+    const obs::json::Value& v) {
+  if (v.kind() == obs::json::Value::Kind::kNull) return std::nullopt;
+  FactorRecord record;
+  record.jitter = v.at("jitter").as_double();
+  // Backward-readable: older snapshots stored the whole factor.
+  if (const obs::json::Value* lower = v.find("lower")) {
+    record.lower = matrix_from_json(*lower);
+  }
+  return record;
+}
+
+/// Factor `a` at exactly the recorded jitter (la::Cholesky::at_jitter).
+/// Throws pamo::Error when `a` is not positive definite there, or when a
+/// stored factor differs from the re-derived one in any bit of its lower
+/// triangle (the strict upper triangle is ignored, as by every solve).
+inline la::Cholesky rederive_factor(const la::Matrix& a,
+                                    const FactorRecord& record) {
+  la::Cholesky chol = la::Cholesky::at_jitter(a, record.jitter);
+  if (record.lower.has_value()) {
+    const la::Matrix& stored = *record.lower;
+    const la::Matrix& derived = chol.lower();
+    bool same = stored.rows() == derived.rows() &&
+                stored.cols() == derived.cols();
+    for (std::size_t i = 0; same && i < derived.rows(); ++i) {
+      for (std::size_t j = 0; same && j <= i; ++j) {
+        same = std::bit_cast<std::uint64_t>(stored(i, j)) ==
+               std::bit_cast<std::uint64_t>(derived(i, j));
+      }
+    }
+    PAMO_CHECK(same, "stored Cholesky factor differs from its re-derivation");
+  }
+  return chol;
 }
 
 /// A double that may be +infinity (sim::FaultPlan::kNever): null encodes

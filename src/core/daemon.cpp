@@ -1,6 +1,7 @@
 #include "core/daemon.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "ckpt/codec.hpp"
 #include "ckpt/killpoint.hpp"
@@ -122,17 +123,20 @@ json::Value Daemon::daemon_snapshot() const {
 void Daemon::daemon_restore(const json::Value& state) {
   PAMO_CHECK(state.at("kind").as_string() == kDaemonStateKind,
              "unsupported daemon-state snapshot kind");
-  ticks_ = state.at("ticks").as_uint();
-  epoch_digests_ = codec::uints_from_json(state.at("epoch_digests"));
-  repair_log_.clear();
+  // Decode into locals, let the service restore (all or nothing), then
+  // commit: a rejected snapshot leaves this daemon exactly as it was.
+  const std::uint64_t ticks = state.at("ticks").as_uint();
+  std::vector<std::uint64_t> epoch_digests =
+      codec::uints_from_json(state.at("epoch_digests"));
+  std::vector<RepairLogEntry> repair_log;
   for (const auto& item : state.at("repair_log").items()) {
     RepairLogEntry entry;
     entry.epoch = static_cast<std::size_t>(item.at("epoch").as_uint());
     entry.kind = static_cast<RepairKind>(item.at("kind").as_uint());
     entry.detail = item.at("detail").as_string();
-    repair_log_.push_back(std::move(entry));
+    repair_log.push_back(std::move(entry));
   }
-  governor_log_.clear();
+  std::vector<GovernorAction> governor_log;
   if (const json::Value* actions = state.find("governor_log")) {
     for (const auto& item : actions->items()) {
       GovernorAction entry;
@@ -141,10 +145,14 @@ void Daemon::daemon_restore(const json::Value& state) {
       entry.decision =
           static_cast<GovernorDecision>(item.at("decision").as_uint());
       entry.detail = item.at("detail").as_string();
-      governor_log_.push_back(std::move(entry));
+      governor_log.push_back(std::move(entry));
     }
   }
   service_.restore(state.at("service"));
+  ticks_ = ticks;
+  epoch_digests_ = std::move(epoch_digests);
+  repair_log_ = std::move(repair_log);
+  governor_log_ = std::move(governor_log);
   epochs_since_checkpoint_ = 0;
 }
 

@@ -237,77 +237,84 @@ void SchedulingService::restore(const json::Value& state) {
       state.at("workload_fingerprint").as_uint() ==
           workload_fingerprint(workload_),
       "service snapshot was taken over a different workload");
-  epoch_ = static_cast<std::size_t>(state.at("epoch").as_uint());
+  // Decode every part into locals and commit only once all of them have
+  // decoded and validated — the outcome models, which re-derive their
+  // factors, come last: a rejected snapshot leaves this service exactly as
+  // it was.
+  const auto epoch = static_cast<std::size_t>(state.at("epoch").as_uint());
 
-  const json::Value& learner = state.at("learner");
-  if (learner.kind() != json::Value::Kind::kNull) {
+  std::optional<pref::PreferenceLearner> learner;
+  const json::Value& learner_state = state.at("learner");
+  if (learner_state.kind() != json::Value::Kind::kNull) {
     // Construct over the snapshot pool (the ctor's cold refit is then
     // overwritten by the exact posterior transplant in restore()).
     // "pool" lives inside the learner sub-object and is written by
     // PreferenceLearner::snapshot(), not by this encoder.
     // pamo-analyze: allow(snapshot-coverage)
-    learner_.emplace(codec::rows_from_json(learner.at("pool")),
-                     options_.initial.pref_learner, options_.seed + 0xB01);
-    learner_->restore(learner);
-  } else {
-    learner_.reset();
+    learner.emplace(codec::rows_from_json(learner_state.at("pool")),
+                    options_.initial.pref_learner, options_.seed + 0xB01);
+    learner->restore(learner_state);
   }
 
-  const json::Value& telemetry = state.at("telemetry");
-  if (telemetry.kind() != json::Value::Kind::kNull) {
-    telemetry_.emplace();
-    telemetry_->restore(telemetry);
-  } else {
-    telemetry_.reset();
+  std::optional<eva::TelemetryCorruption> telemetry;
+  const json::Value& telemetry_state = state.at("telemetry");
+  if (telemetry_state.kind() != json::Value::Kind::kNull) {
+    telemetry.emplace();
+    telemetry->restore(telemetry_state);
   }
 
-  const json::Value& fault_plan = state.at("fault_plan");
-  if (fault_plan.kind() != json::Value::Kind::kNull) {
-    fault_plan_ = fault_plan_from_json(fault_plan);
-  } else {
-    fault_plan_.reset();
+  std::optional<sim::FaultPlan> fault_plan;
+  const json::Value& fault_plan_state = state.at("fault_plan");
+  if (fault_plan_state.kind() != json::Value::Kind::kNull) {
+    fault_plan = fault_plan_from_json(fault_plan_state);
   }
 
-  const json::Value& last_good = state.at("last_good");
-  if (last_good.kind() != json::Value::Kind::kNull) {
-    last_good_ = LastGood{config_from_json(last_good.at("config")),
-                          schedule_from_json(last_good.at("schedule"))};
-  } else {
-    last_good_.reset();
+  std::optional<LastGood> last_good;
+  const json::Value& last_good_state = state.at("last_good");
+  if (last_good_state.kind() != json::Value::Kind::kNull) {
+    last_good = LastGood{config_from_json(last_good_state.at("config")),
+                         schedule_from_json(last_good_state.at("schedule"))};
   }
 
   // Optional (post-v1 but version-compatible) churn/governor state: old
   // snapshots simply lack the keys and restore to the features-off state.
-  const json::Value* churn = state.find("churn");
-  if (churn != nullptr && churn->kind() != json::Value::Kind::kNull) {
-    churn_ = eva::ChurnPlan::restore(*churn);
-  } else {
-    churn_ = eva::ChurnPlan();
+  eva::ChurnPlan churn;
+  const json::Value* churn_state = state.find("churn");
+  if (churn_state != nullptr &&
+      churn_state->kind() != json::Value::Kind::kNull) {
+    churn = eva::ChurnPlan::restore(*churn_state);
   }
-  const json::Value* governor = state.find("governor");
-  if (governor != nullptr && governor->kind() != json::Value::Kind::kNull) {
-    governor_.restore(*governor);
-  } else {
-    governor_ = AdmissionGovernor(options_.governor);
+  AdmissionGovernor governor(options_.governor);
+  const json::Value* governor_state = state.find("governor");
+  if (governor_state != nullptr &&
+      governor_state->kind() != json::Value::Kind::kNull) {
+    governor.restore(*governor_state);
   }
 
-  const json::Value& models = state.at("models");
-  if (models.kind() != json::Value::Kind::kNull) {
+  std::optional<OutcomeModels> models;
+  const json::Value& models_state = state.at("models");
+  if (models_state.kind() != json::Value::Kind::kNull) {
     // The bank must carry the GpOptions it was actually fit under. The
     // scheduler hardens its options when telemetry corruption is active
     // (reject_nonfinite, robust_noise), and warm-started epochs transplant
     // this bank back into a scheduler and *update* it — restoring it with
     // the unhardened options would make the first post-resume update throw
     // on a NaN profile the live lineage silently drops.
-    PamoOptions bank_options =
-        epoch_ <= 1 ? options_.initial : options_.steady;
-    if (telemetry_.has_value()) bank_options.telemetry = &*telemetry_;
+    PamoOptions bank_options = epoch <= 1 ? options_.initial : options_.steady;
+    if (telemetry.has_value()) bank_options.telemetry = &*telemetry;
     bank_options = PamoScheduler::harden(std::move(bank_options));
-    retained_models_.emplace(workload_.space, bank_options.gp);
-    retained_models_->restore(models);
-  } else {
-    retained_models_.reset();
+    models.emplace(workload_.space, bank_options.gp);
+    models->restore(models_state);
   }
+
+  epoch_ = epoch;
+  learner_ = std::move(learner);
+  telemetry_ = std::move(telemetry);
+  fault_plan_ = std::move(fault_plan);
+  last_good_ = std::move(last_good);
+  churn_ = std::move(churn);
+  governor_ = std::move(governor);
+  retained_models_ = std::move(models);
 }
 
 }  // namespace pamo::core

@@ -415,11 +415,7 @@ void GpRegressor::solve_system() {
     solve_sparse();
     return;
   }
-  la::Matrix k = kernel_matrix(options_.kernel, params_, x_);
-  const double noise = std::exp(params_.log_noise_var);
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    k(i, i) += noise * noise_scale_[i];
-  }
+  const la::Matrix k = training_covariance();
   // Degrade to a wider jitter cap instead of throwing: a near-singular
   // training covariance (duplicated inputs, heavily inflated outlier rows)
   // yields a smoother posterior rather than a dead learner.
@@ -437,6 +433,15 @@ void GpRegressor::solve_system() {
   diagnostics_.fit_jitter = std::max(diagnostics_.fit_jitter, chol_->jitter());
   for (Column& col : columns_) col.alpha = chol_->solve(col.y);
   ++factor_epoch_;  // full refactorization: cached V rows are now stale
+}
+
+la::Matrix GpRegressor::training_covariance() const {
+  la::Matrix k = kernel_matrix(options_.kernel, params_, x_);
+  const double noise = std::exp(params_.log_noise_var);
+  for (std::size_t i = 0; i < x_.size(); ++i) {
+    k(i, i) += noise * noise_scale_[i];
+  }
+  return k;
 }
 
 bool GpRegressor::reweight_outliers() {

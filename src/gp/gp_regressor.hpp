@@ -192,6 +192,11 @@ class GpRegressor {
   [[nodiscard]] std::size_t num_outputs() const { return columns_.size(); }
   [[nodiscard]] std::size_t dim() const { return dim_; }
   [[nodiscard]] const KernelParams& params() const { return params_; }
+  /// The exact backend's factor of the training covariance (empty when
+  /// unfit or under GpBackend::kInducing).
+  [[nodiscard]] const std::optional<la::Cholesky>& factor() const {
+    return chol_;
+  }
 
   /// Robustness bookkeeping of one output since the last fit(). Everything
   /// but posterior_jitter is shared by the outputs; posterior_jitter is
@@ -238,11 +243,14 @@ class GpRegressor {
                                                std::size_t output = 0) const;
 
   /// Serialize the complete fitted state of one output — training data,
-  /// scaling, hyperparameters, the Cholesky factor (with its jitter),
-  /// alpha, the robust-noise scales, diagnostics counters, and the factor
-  /// epoch — as deterministic JSON, byte-identical to the snapshot of a
-  /// single-output model fed that output's column. The mutable posterior
-  /// workspace is a pure cache and is not serialized (recomputing it is
+  /// scaling, hyperparameters, the jitter of the Cholesky factor, alpha,
+  /// the robust-noise scales, diagnostics counters, and the factor epoch —
+  /// as deterministic JSON, byte-identical to the snapshot of a
+  /// single-output model fed that output's column. The exact factor itself
+  /// is re-derived on restore (bit-identical: it is a pure function of the
+  /// stored inputs, hyperparameters, noise scales and jitter); the sparse
+  /// backend's factors are stored whole. The mutable posterior workspace
+  /// is a pure cache and is not serialized (recomputing it is
   /// bit-identical).
   [[nodiscard]] obs::json::Value snapshot(std::size_t output = 0) const;
 
@@ -346,8 +354,12 @@ class GpRegressor {
   /// shared state and first column; unchecked (see restore_outputs).
   void restore_column(const obs::json::Value& snap);
   /// Throw unless the decoded state is internally consistent: every array
-  /// sized to the training set, the factor n×n, every row `dim` wide.
-  void validate_restored() const;
+  /// sized to the training set, every row `dim` wide, and a stored exact
+  /// factor (`has_factor`) present exactly when the exact backend is fit.
+  void validate_restored(bool has_factor) const;
+  /// K(x_, x_) + σ²·diag(noise_scale_): the matrix the exact factor
+  /// factors, whether built by solve_system() or grown by extend().
+  [[nodiscard]] la::Matrix training_covariance() const;
   /// The solved system covers every kept training row (postcondition of
   /// fit()/update(), backend-independent).
   [[nodiscard]] bool solved_over_all_rows() const;

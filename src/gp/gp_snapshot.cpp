@@ -1,12 +1,24 @@
 // GpRegressor checkpoint serialization (see gp_regressor.hpp).
 //
-// The snapshot carries everything the fitted state owns — including the
-// Cholesky factor bits and its jitter — rather than refitting on restore:
+// The snapshot carries the fitted state rather than refitting on restore:
 // a refit would redo the jitter ladder and MLE from scratch, and any
 // difference in that path (a different recovery jitter, another Nelder–
-// Mead tie) would silently fork the BO trajectory after resume. Restoring
-// the exact factor also preserves incremental-update eligibility, which
-// requires jitter == 0 on the cached factor.
+// Mead tie) would silently fork the BO trajectory after resume.
+//
+// The exact backend's Cholesky factor is the one part of that state that
+// is stored as its recipe, not its bits: {"jitter": j}. It is a pure
+// function of what the snapshot already holds — every exact factor equals
+// la::Cholesky::at_jitter(training_covariance(), j), whether solve_system()
+// built it (the ladder stops at j and at_jitter repeats that attempt's
+// arithmetic) or Cholesky::extend() grew it (jitter 0 only, with the
+// arithmetic of a from-scratch factorization). restore_outputs() re-derives
+// it once per shared system. Re-deriving at the stored jitter also keeps
+// incremental-update eligibility, which requires jitter == 0. Snapshots
+// written before this format carry the factor as `lower`; it must equal the
+// re-derivation bit for bit or the snapshot is rejected.
+//
+// The sparse backend stores its factors whole: B is rank-one updated,
+// which matches a refactorization only to ~1e-9.
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -136,7 +148,7 @@ json::Value GpRegressor::snapshot(std::size_t output) const {
   obj.set("x", codec::rows_to_json(x_));
   obj.set("y", codec::doubles_to_json(col.y));
   obj.set("params", params_to_json(params_));
-  obj.set("chol", codec::cholesky_to_json(chol_));
+  obj.set("chol", codec::factor_to_json(chol_));
   obj.set("alpha", codec::doubles_to_json(col.alpha));
   obj.set("noise_scale", codec::doubles_to_json(noise_scale_));
   obj.set("diagnostics", diagnostics_to_json(diagnostics));
@@ -159,7 +171,6 @@ void GpRegressor::restore_column(const json::Value& snap) {
   x_ = codec::rows_from_json(snap.at("x"));
   col.y = codec::doubles_from_json(snap.at("y"));
   params_ = params_from_json(snap.at("params"));
-  chol_ = codec::cholesky_from_json(snap.at("chol"));
   col.alpha = codec::doubles_from_json(snap.at("alpha"));
   noise_scale_ = codec::doubles_from_json(snap.at("noise_scale"));
   diagnostics_ = diagnostics_from_json(snap.at("diagnostics"));
@@ -198,7 +209,7 @@ std::string shared_part(const json::Value& snap) {
 
 }  // namespace
 
-void GpRegressor::validate_restored() const {
+void GpRegressor::validate_restored(bool has_factor) const {
   const std::size_t n = x_.size();
   auto dim_wide = [this](const std::vector<std::vector<double>>& rows) {
     return std::all_of(rows.begin(), rows.end(),
@@ -215,14 +226,13 @@ void GpRegressor::validate_restored() const {
                "GP snapshot targets disagree with the training inputs");
   }
   if (!is_fit()) {
-    PAMO_CHECK(!chol_.has_value() && !sparse_.has_value(),
+    PAMO_CHECK(!has_factor && !sparse_.has_value(),
                "unfitted GP snapshot must not carry a factorization");
     return;
   }
   PAMO_CHECK(params_.dim() == dim_, "GP snapshot hyperparameter dim mismatch");
   if (!sparse_.has_value()) {
-    PAMO_CHECK(chol_.has_value() && chol_->lower().rows() == n,
-               "fitted GP snapshot must carry its n x n factorization");
+    PAMO_CHECK(has_factor, "fitted GP snapshot must carry its factorization");
     for (const Column& col : columns_) {
       PAMO_CHECK(col.alpha.size() == n,
                  "fitted GP snapshot must carry alpha over every row");
@@ -231,7 +241,7 @@ void GpRegressor::validate_restored() const {
   }
   const SparseState& s = *sparse_;
   const std::size_t m = s.z.size();
-  PAMO_CHECK(columns_.size() == 1 && !chol_.has_value() &&
+  PAMO_CHECK(columns_.size() == 1 && !has_factor &&
                  s.lm.has_value() && s.lb.has_value() &&
                  s.lm->lower().rows() == m && s.lb->lower().rows() == m &&
                  s.kmn.rows() == m && s.kmn.cols() == n && s.b.size() == m &&
@@ -244,7 +254,7 @@ void GpRegressor::restore(const json::Value& snap) {
   restore_outputs(std::span<const json::Value>(&snap, 1));
 }
 
-// pamo-analyze: snapshot(GpRegressor)
+// pamo-analyze: snapshot(GpRegressor, Column)
 void GpRegressor::restore_outputs(std::span<const json::Value> snaps) {
   PAMO_CHECK(snaps.size() == columns_.size(), "one snapshot per GP output");
   // Decode and check everything into a scratch model, then commit: a
@@ -259,7 +269,13 @@ void GpRegressor::restore_outputs(std::span<const json::Value> snaps) {
     other.restore_column(snaps[c]);
     next.columns_[c] = std::move(other.columns_.front());
   }
-  next.validate_restored();
+  // Every output shares the factor (shared_part compared "chol"), so it is
+  // re-derived once, from inputs validate_restored() has sized.
+  const auto factor = codec::factor_from_json(snaps[0].at("chol"));
+  next.validate_restored(factor.has_value());
+  if (factor.has_value()) {
+    next.chol_ = codec::rederive_factor(next.training_covariance(), *factor);
+  }
   // The posterior workspace of `next` is empty: a cache keyed to the live
   // factor is never carried across a restore.
   *this = std::move(next);

@@ -54,6 +54,20 @@ Cholesky::Cholesky(const Matrix& a, double max_jitter) {
   throw Error("Cholesky: matrix is not positive definite even with jitter");
 }
 
+Cholesky Cholesky::at_jitter(const Matrix& a, double jitter) {
+  PAMO_CHECK(a.rows() == a.cols(), "Cholesky requires a square matrix");
+  PAMO_CHECK(a.rows() > 0, "Cholesky of an empty matrix");
+  PAMO_CHECK(jitter >= 0.0 && std::isfinite(jitter),
+             "Cholesky jitter must be finite and non-negative");
+  Cholesky out;
+  if (!try_factor(a, jitter, out.lower_)) {
+    throw Error(
+        "Cholesky: matrix is not positive definite at the given jitter");
+  }
+  out.jitter_ = jitter;
+  return out;
+}
+
 Cholesky Cholesky::from_parts(Matrix lower, double jitter) {
   PAMO_CHECK(lower.rows() == lower.cols(),
              "Cholesky factor must be square");

@@ -16,9 +16,17 @@ class Cholesky {
  public:
   explicit Cholesky(const Matrix& a, double max_jitter = 1e-4);
 
+  /// Factor A + jitter·I at exactly `jitter`, with no ladder: the same
+  /// arithmetic as the constructor's attempt at that jitter, so a factor
+  /// the constructor (or extend()) produced is reproduced bit for bit from
+  /// its matrix and jitter(). Throws pamo::Error when A + jitter·I is not
+  /// positive definite.
+  static Cholesky at_jitter(const Matrix& a, double jitter);
+
   /// Rebuild a factorization from a previously computed lower factor and
-  /// its jitter (checkpoint/restore support). No numerical work happens:
-  /// the result is the exact object that produced `lower`, so solves and
+  /// its jitter (checkpoint/restore of factors that cannot be re-derived,
+  /// such as a rank-one-updated one). No numerical work happens: the
+  /// result is the exact object that produced `lower`, so solves and
   /// extend() behave bit-for-bit as before the round-trip. `lower` must be
   /// square; its strict upper triangle is ignored by every operation.
   static Cholesky from_parts(Matrix lower, double jitter);
@@ -76,7 +84,7 @@ class Cholesky {
   [[nodiscard]] double log_det() const;
 
  private:
-  Cholesky() = default;  // for from_parts
+  Cholesky() = default;  // for at_jitter and from_parts
   static bool try_factor(const Matrix& a, double jitter, Matrix& out);
 
   Matrix lower_;

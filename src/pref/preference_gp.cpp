@@ -88,9 +88,7 @@ void PreferenceGp::laplace() {
   const std::size_t n = points_.size();
   compute_pair_weights();
 
-  la::Matrix k = gp::kernel_matrix(options_.kernel, params_, points_);
-  k.add_diagonal(kKernelJitter);
-  k_chol_.emplace(k);
+  k_chol_.emplace(prior_covariance());
 
   // Negative log posterior (up to constants): ψ(g) = -Σ logΦ(z_v) + ½gᵀK⁻¹g.
   auto psi = [&](const la::Vector& g) {
@@ -125,14 +123,7 @@ void PreferenceGp::laplace() {
     }
 
     // Newton target: (K⁻¹ + W) g⁺ = W g + b.
-    la::Matrix a = w_;
-    {
-      // A += K⁻¹ by solving K X = I column-wise.
-      const la::Matrix kinv = k_chol_->solve(la::Matrix::identity(n));
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) a(r, c) += kinv(r, c);
-      }
-    }
+    const la::Matrix a = posterior_precision(w_);
     la::Vector rhs = la::matvec(w_, g_map_);
     la::axpy(1.0, b, rhs);
     const la::Cholesky a_chol(a, /*max_jitter=*/1e-6);
@@ -171,13 +162,25 @@ void PreferenceGp::laplace() {
     w_(winner, loser) -= kappa;
     w_(loser, winner) -= kappa;
   }
-  la::Matrix b_mat = w_;
+  b_chol_.emplace(posterior_precision(w_), /*max_jitter=*/1e-6);
+  kinv_g_ = k_chol_->solve(g_map_);
+}
+
+la::Matrix PreferenceGp::prior_covariance() const {
+  la::Matrix k = gp::kernel_matrix(options_.kernel, params_, points_);
+  k.add_diagonal(kKernelJitter);
+  return k;
+}
+
+la::Matrix PreferenceGp::posterior_precision(const la::Matrix& w) const {
+  const std::size_t n = points_.size();
+  la::Matrix a = w;
+  // A += K⁻¹ by solving K X = I column-wise.
   const la::Matrix kinv = k_chol_->solve(la::Matrix::identity(n));
   for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) b_mat(r, c) += kinv(r, c);
+    for (std::size_t c = 0; c < n; ++c) a(r, c) += kinv(r, c);
   }
-  b_chol_.emplace(b_mat, /*max_jitter=*/1e-6);
-  kinv_g_ = k_chol_->solve(g_map_);
+  return a;
 }
 
 gp::Posterior PreferenceGp::posterior(

@@ -84,18 +84,38 @@ class PreferenceGp {
   /// MAP latent utilities at the training points.
   [[nodiscard]] const la::Vector& map_utilities() const { return g_map_; }
 
+  /// The factors of K + εI and of W + K⁻¹ (empty before fit).
+  [[nodiscard]] const std::optional<la::Cholesky>& prior_factor() const {
+    return k_chol_;
+  }
+  [[nodiscard]] const std::optional<la::Cholesky>& posterior_factor() const {
+    return b_chol_;
+  }
+
   /// Serialize the full posterior state (points, pairs, pair weights, the
-  /// MAP solution, both Cholesky factors) as deterministic JSON. Restoring
-  /// skips the Laplace iteration entirely — the exact factors come back,
-  /// so posterior()/sample_joint() are bit-identical after the round-trip.
+  /// MAP solution and its Hessian W, and the jitters of both Cholesky
+  /// factors) as deterministic JSON. Restoring skips the Laplace iteration
+  /// entirely and re-derives both factors from the stored state at their
+  /// stored jitters — bit-identical to the originals — so
+  /// posterior()/sample_joint() are bit-identical after the round-trip.
   [[nodiscard]] obs::json::Value snapshot() const;
 
   /// Rebuild from snapshot(). Must be constructed with the same
-  /// PreferenceGpOptions as the snapshotted instance.
+  /// PreferenceGpOptions as the snapshotted instance. A malformed or
+  /// inconsistent snapshot (including one whose factors cannot be
+  /// re-derived) throws pamo::Error and leaves this model untouched.
   void restore(const obs::json::Value& snap);
 
  private:
   void laplace();
+  /// K(points_) + εI, the matrix k_chol_ factors.
+  [[nodiscard]] la::Matrix prior_covariance() const;
+  /// W + K⁻¹ (K⁻¹ through k_chol_): the Newton system of laplace() and,
+  /// at the MAP, the matrix b_chol_ factors.
+  [[nodiscard]] la::Matrix posterior_precision(const la::Matrix& w) const;
+  /// Throw unless decoded state is consistent: arrays sized to the point
+  /// and pair sets, and both stored factors present exactly when fit.
+  void validate_restored(bool has_k_factor, bool has_b_factor) const;
   /// Per-pair probit precision 1/(√2·λ_p); flags contradicted pairs and
   /// softens their λ when downweight_inconsistent is on.
   void compute_pair_weights();

@@ -7,11 +7,19 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <utility>
 
+#include "ckpt/checkpoint.hpp"
+#include "ckpt/codec.hpp"
 #include "common/error.hpp"
+#include "eva/churn.hpp"
 #include "eva/clip.hpp"
+#include "gp/gp_regressor.hpp"
 #include "sim/fault.hpp"
 
 namespace pamo::core {
@@ -175,6 +183,211 @@ TEST_F(DaemonTest, ResumedDaemonContinuesTheDigestTrajectory) {
   after.run(oracle_resumed, 1);
 
   EXPECT_EQ(after.epoch_digests(), reference.epoch_digests());
+}
+
+namespace json = obs::json;
+
+/// Whether any object under `v` has a "lower" key outside a "sparse"
+/// subtree, i.e. whether the payload stores an exact-backend factor.
+bool stores_exact_factor(const json::Value& v) {
+  if (v.kind() == json::Value::Kind::kArray) {
+    for (const auto& item : v.items()) {
+      if (stores_exact_factor(item)) return true;
+    }
+  } else if (v.kind() == json::Value::Kind::kObject) {
+    for (const auto& [key, value] : v.members()) {
+      if (key == "sparse") continue;
+      if (key == "lower" || stores_exact_factor(value)) return true;
+    }
+  }
+  return false;
+}
+
+std::size_t count_key(const json::Value& v, const std::string& name) {
+  std::size_t count = 0;
+  if (v.kind() == json::Value::Kind::kArray) {
+    for (const auto& item : v.items()) count += count_key(item, name);
+  } else if (v.kind() == json::Value::Kind::kObject) {
+    for (const auto& [key, value] : v.members()) {
+      count += (key == name ? 1 : 0) + count_key(value, name);
+    }
+  }
+  return count;
+}
+
+/// The `pamo_daemon --churn` service: warm start, a bounded preference
+/// pool and the admission governor.
+ServiceOptions churn_service(std::uint64_t seed, std::size_t streams) {
+  ServiceOptions options = tiny_service(seed);
+  options.continual.warm_start = true;
+  options.continual.pref_pool_cap = 24;
+  options.governor.enabled = true;
+  options.governor.max_streams = streams + 1;
+  options.governor.hysteresis = 0.1;
+  return options;
+}
+
+eva::ChurnPlan churn_plan(std::size_t epochs) {
+  eva::ChurnOptions churn;
+  churn.arrival_rate = 0.6;
+  churn.mean_lifetime_epochs = 4.0;
+  churn.diurnal_amplitude = 0.3;
+  churn.diurnal_period = 6;
+  churn.drift_per_epoch = 0.03;
+  churn.horizon = epochs;
+  churn.seed = 421 ^ 0xC0FFEEull;
+  return eva::ChurnPlan(churn);
+}
+
+TEST_F(DaemonTest, ChurnCheckpointStoresNoExactFactor) {
+  // Exact Cholesky factors are re-derived on restore; only the sparse
+  // backend's rank-one-updated system may store one. This guards against
+  // a factor creeping back into the checkpoint.
+  Daemon daemon(eva::make_workload(5, 4, 421), churn_service(1, 5),
+                daemon_options());
+  daemon.service().set_churn_plan(churn_plan(4));
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  daemon.run(oracle, 3);
+  const auto loaded = daemon.store().load_newest_valid();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_FALSE(stores_exact_factor(loaded->payload));
+  // Non-vacuous: the payload does hold the factored models.
+  EXPECT_GE(count_key(loaded->payload, "chol"), 5u);
+  EXPECT_EQ(count_key(loaded->payload, "k_chol"), 1u);
+  EXPECT_EQ(count_key(loaded->payload, "b_chol"), 1u);
+}
+
+/// `payload` with every exact factor stored whole again, as checkpoints
+/// written before factor re-derivation carried them. The factors come from
+/// restoring the payload, so they are the ones the writer held.
+json::Value with_stored_factors(const json::Value& payload,
+                                const ServiceOptions& options,
+                                const Daemon& restored) {
+  auto stored = [](const json::Value& factor, const la::Cholesky& chol) {
+    json::Value out = json::Value::object();
+    out.set("lower", ckpt::codec::matrix_to_json(chol.lower()));
+    out.set("jitter", factor.at("jitter"));
+    return out;
+  };
+  json::Value result = payload;
+  json::Value& service = result.at("service");
+  json::Value models = json::Value::array();
+  for (const auto& item : service.at("models").items()) {
+    gp::GpRegressor gp(options.steady.gp);
+    gp.restore(item);
+    json::Value copy = item;
+    copy.set("chol", stored(item.at("chol"), *gp.factor()));
+    models.push_back(std::move(copy));
+  }
+  service.set("models", std::move(models));
+  const pref::PreferenceGp& model = restored.service().learner()->model();
+  json::Value& learner_model = service.at("learner").at("model");
+  learner_model.set("k_chol", stored(learner_model.at("k_chol"),
+                                     *model.prior_factor()));
+  learner_model.set("b_chol", stored(learner_model.at("b_chol"),
+                                     *model.posterior_factor()));
+  return result;
+}
+
+TEST_F(DaemonTest, ResumesFromACheckpointThatStoresTheFactors) {
+  const eva::Workload workload = eva::make_workload(4, 3, 422);
+  const ServiceOptions service = tiny_service(9);
+  auto options_at = [&](const std::string& sub) {
+    DaemonOptions o = daemon_options();
+    o.checkpoint_dir = dir_ + "/" + sub;
+    return o;
+  };
+  Daemon reference(workload, service, options_at("ref"));
+  pref::PreferenceOracle oracle_ref(pref::BenefitFunction::uniform());
+  reference.run(oracle_ref, 3);
+
+  {
+    Daemon before(workload, service, options_at("a"));
+    pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+    before.run(oracle, 2);
+  }
+  Daemon probe(workload, service, options_at("a"));
+  ASSERT_TRUE(probe.resume().has_value());
+  const json::Value payload =
+      ckpt::CheckpointStore(dir_ + "/a").load_newest_valid()->payload;
+  const json::Value legacy = with_stored_factors(payload, service, probe);
+  ASSERT_FALSE(stores_exact_factor(payload));
+  ASSERT_TRUE(stores_exact_factor(legacy));
+
+  ckpt::CheckpointStore(dir_ + "/b").save(legacy);
+  Daemon after(workload, service, options_at("b"));
+  ASSERT_TRUE(after.resume().has_value());
+  pref::PreferenceOracle oracle_resumed(pref::BenefitFunction::uniform());
+  after.run(oracle_resumed, 1);
+  EXPECT_EQ(after.epoch_digests(), reference.epoch_digests());
+
+  // A stored factor one ULP off its re-derivation is rejected.
+  json::Value off = legacy;
+  json::Value& k_chol =
+      off.at("service").at("learner").at("model").at("k_chol");
+  la::Matrix lower = ckpt::codec::matrix_from_json(k_chol.at("lower"));
+  lower(1, 0) =
+      std::nextafter(lower(1, 0), std::numeric_limits<double>::max());
+  k_chol.set("lower", ckpt::codec::matrix_to_json(lower));
+  ckpt::CheckpointStore(dir_ + "/c").save(off);
+  Daemon rejecting(workload, service, options_at("c"));
+  EXPECT_THROW(rejecting.resume(), pamo::Error);
+}
+
+TEST_F(DaemonTest, RejectedRestoreLeavesServiceAndDaemonUntouched) {
+  // A digest-valid payload whose last outcome GP cannot be re-factored:
+  // its noise scales make K + σ²Λ indefinite at the stored jitter. The
+  // failure comes at the very end of the restore, after the daemon's and
+  // the service's other state decoded cleanly; none of it may land.
+  const eva::Workload workload = eva::make_workload(4, 3, 422);
+  Daemon live(workload, tiny_service(9), daemon_options());
+  pref::PreferenceOracle oracle(pref::BenefitFunction::uniform());
+  live.run(oracle, 2);
+  live.checkpoint_now();
+  const json::Value good = live.store().load_newest_valid()->payload;
+  const std::string service_before = live.service().snapshot().dump();
+  ASSERT_EQ(good.at("service").dump(), service_before);
+
+  json::Value bad = good;
+  bad.set("ticks", json::Value(std::uint64_t{123456789}));
+  bad.set("epoch_digests", ckpt::codec::uints_to_json({1, 2, 3}));
+  json::Value& service = bad.at("service");
+  service.set("epoch", json::Value(std::uint64_t{77}));
+  json::Value models = json::Value::array();
+  const auto& items = service.at("models").items();
+  for (std::size_t m = 0; m < items.size(); ++m) {
+    json::Value item = items[m];
+    if (m + 1 == items.size()) {
+      std::vector<double> scales =
+          ckpt::codec::doubles_from_json(item.at("noise_scale"));
+      scales.back() = -1e9;
+      item.set("noise_scale", ckpt::codec::doubles_to_json(scales));
+    }
+    models.push_back(std::move(item));
+  }
+  service.set("models", std::move(models));
+
+  try {
+    live.service().restore(bad.at("service"));
+    ADD_FAILURE() << "service restore accepted an unfactorable model";
+  } catch (const pamo::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("not positive definite"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(live.service().snapshot().dump(), service_before);
+
+  const auto ticks = live.ticks();
+  const auto digests = live.epoch_digests();
+  const auto repairs = live.repair_log().size();
+  ckpt::CheckpointStore(dir_).save(bad);  // newest, digest-valid
+  EXPECT_THROW(live.resume(), pamo::Error);
+  EXPECT_EQ(live.ticks(), ticks);
+  EXPECT_EQ(live.epoch_digests(), digests);
+  EXPECT_EQ(live.repair_log().size(), repairs);
+  EXPECT_EQ(live.service().snapshot().dump(), service_before);
+  live.checkpoint_now();
+  EXPECT_EQ(live.store().load_newest_valid()->payload.dump(), good.dump());
 }
 
 }  // namespace

@@ -416,5 +416,44 @@ TEST(OutcomeBank, RestoresFromPerMetricSnapshotsAllOrNothing) {
   EXPECT_NE(target_before, per_metric_before);
 }
 
+TEST(OutcomeBank, SharedFactorIsRederivedOnRestore) {
+  // The bank's snapshot stores its one shared factor as a jitter; a
+  // restored bank re-derives it and then updates and samples exactly like
+  // the bank that never stopped.
+  const eva::ConfigSpace space = eva::ConfigSpace::standard();
+  const gp::GpOptions options = fixed_options();
+  OutcomeModels bank(space, options);
+  ASSERT_EQ(bank.num_models(), 1u);
+  const Profiles first = profiles(bank.grid(), 20, 11);
+  bank.fit(first.configs, first.measurements);
+  const obs::json::Value snap = bank.snapshot();
+  for (const auto& item : snap.items()) {
+    EXPECT_EQ(item.at("chol").find("lower"), nullptr);
+  }
+
+  OutcomeModels restored(space, options);
+  restored.restore(obs::json::Value::parse(snap.dump()));
+  EXPECT_EQ(restored.snapshot().dump(), snap.dump());
+  const Profiles more = profiles(bank.grid(), 10, 12);
+  bank.update(more.configs, more.measurements);
+  restored.update(more.configs, more.measurements);
+  EXPECT_EQ(restored.diagnostics().incremental_updates,
+            bank.diagnostics().incremental_updates);
+  Rng rng_a(13);
+  Rng rng_b(13);
+  const auto tables_a = bank.sample_grid_tables(8, rng_a);
+  const auto tables_b = restored.sample_grid_tables(8, rng_b);
+  ASSERT_EQ(tables_a.size(), tables_b.size());
+  for (std::size_t m = 0; m < tables_a.size(); ++m) {
+    ASSERT_EQ(tables_a[m].data().size(), tables_b[m].data().size());
+    for (std::size_t i = 0; i < tables_a[m].data().size(); ++i) {
+      ASSERT_EQ(bits(tables_b[m].data()[i]), bits(tables_a[m].data()[i]))
+          << "metric " << m << " entry " << i;
+    }
+  }
+  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+  EXPECT_EQ(restored.snapshot().dump(), bank.snapshot().dump());
+}
+
 }  // namespace
 }  // namespace pamo::core

@@ -1,12 +1,19 @@
 // Preference-state snapshot/restore: the Laplace posterior and the
 // learner's query stream survive a round-trip bit-for-bit, so a resumed
-// learner asks the exact questions the uninterrupted one would have.
+// learner asks the exact questions the uninterrupted one would have. Both
+// Cholesky factors are re-derived on restore, bit for bit, including from
+// snapshots written before re-derivation, which stored them.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "pref/learner.hpp"
@@ -202,6 +209,180 @@ TEST(PreferenceLearnerSnapshot, RestoreRejectsMangledSnapshots) {
   bad_pairs.push_back(std::move(bad_pair));
   dangling.set("pairs", std::move(bad_pairs));
   EXPECT_THROW(victim.restore(dangling), pamo::Error);
+}
+
+void expect_same_factor(const la::Cholesky& got, const la::Cholesky& want) {
+  EXPECT_EQ(bits(got.jitter()), bits(want.jitter()));
+  ASSERT_EQ(got.lower().rows(), want.lower().rows());
+  ASSERT_EQ(got.lower().cols(), want.lower().cols());
+  for (std::size_t i = 0; i < want.lower().data().size(); ++i) {
+    ASSERT_EQ(bits(got.lower().data()[i]), bits(want.lower().data()[i]))
+        << "factor entry " << i;
+  }
+}
+
+TEST(PreferenceGpSnapshot, LaplaceFactorsAreRederivedBitForBit) {
+  Rng rng(25);
+  const auto points = pool_5d(12, rng);
+  const std::vector<ComparisonPair> pairs = {{0, 1}, {2, 3}, {4, 0}, {5, 6},
+                                             {7, 2}, {8, 9}, {10, 11}};
+  PreferenceGp original;
+  original.fit(points, pairs);
+  const obs::json::Value snap = original.snapshot();
+  for (const char* key : {"k_chol", "b_chol"}) {
+    EXPECT_EQ(snap.at(key).find("lower"), nullptr) << key;
+    EXPECT_NE(snap.at(key).find("jitter"), nullptr) << key;
+  }
+
+  PreferenceGp restored;
+  restored.restore(obs::json::Value::parse(snap.dump()));
+  expect_same_factor(*restored.prior_factor(), *original.prior_factor());
+  expect_same_factor(*restored.posterior_factor(),
+                     *original.posterior_factor());
+  EXPECT_EQ(restored.snapshot().dump(), snap.dump());
+
+  // Same update, then the same joint samples from equal RNG states.
+  const auto extra = pool_5d(3, rng);
+  const std::vector<ComparisonPair> extra_pairs = {{12, 1}, {13, 14}};
+  original.update(extra, extra_pairs);
+  restored.update(extra, extra_pairs);
+  expect_same_factor(*restored.posterior_factor(),
+                     *original.posterior_factor());
+  Rng draw_a(88);
+  Rng draw_b(88);
+  Rng probe_rng(12);
+  const auto probes = pool_5d(5, probe_rng);
+  const la::Matrix a = original.sample_joint(probes, 4, draw_a);
+  const la::Matrix b = restored.sample_joint(probes, 4, draw_b);
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    EXPECT_EQ(bits(b.data()[i]), bits(a.data()[i]));
+  }
+  EXPECT_EQ(restored.snapshot().dump(), original.snapshot().dump());
+}
+
+TEST(PreferenceGpSnapshot, RejectedRestoreLeavesTheModelUntouched) {
+  Rng rng(26);
+  PreferenceGp source;
+  source.fit(pool_5d(6, rng), {{0, 1}, {2, 3}, {4, 5}});
+  const obs::json::Value good = source.snapshot();
+
+  // W with a large negative diagonal makes W + K⁻¹ indefinite at the
+  // stored jitter: the second factor cannot be re-derived.
+  obs::json::Value indefinite = good;
+  la::Matrix w = ckpt::codec::matrix_from_json(good.at("w"));
+  w(2, 2) = -1e30;
+  indefinite.set("w", ckpt::codec::matrix_to_json(w));
+  // A comparison pointing past the points.
+  obs::json::Value dangling = good;
+  obs::json::Value pair = obs::json::Value::array();
+  pair.push_back(obs::json::Value(std::uint64_t{0}));
+  pair.push_back(obs::json::Value(std::uint64_t{42}));
+  obs::json::Value pairs = obs::json::Value::array();
+  pairs.push_back(std::move(pair));
+  dangling.set("pairs", std::move(pairs));
+  dangling.set("pair_inv_noise", ckpt::codec::doubles_to_json({1.0}));
+  // A fitted model without its first factor.
+  obs::json::Value factorless = good;
+  factorless.set("k_chol", obs::json::Value());
+
+  for (const obs::json::Value& bad : {indefinite, dangling, factorless}) {
+    PreferenceGp victim;
+    victim.fit(pool_5d(7, rng), {{0, 1}, {1, 2}});
+    const std::string before = victim.snapshot().dump();
+    EXPECT_THROW(victim.restore(bad), pamo::Error);
+    EXPECT_EQ(victim.snapshot().dump(), before);
+  }
+}
+
+TEST(PreferenceLearnerSnapshot, RejectedRestoreLeavesTheLearnerUntouched) {
+  Rng rng(33);
+  LearnerOptions options;
+  PreferenceLearner source(pool_5d(8, rng), options, 7);
+  PreferenceOracle oracle(BenefitFunction::uniform());
+  source.run(oracle, 3);
+  // The pool, pairs and RNG decode cleanly; the model's second factor
+  // does not re-derive. Nothing of the snapshot may land.
+  obs::json::Value bad = source.snapshot();
+  la::Matrix w = ckpt::codec::matrix_from_json(bad.at("model").at("w"));
+  w(0, 0) = -1e30;
+  bad.at("model").set("w", ckpt::codec::matrix_to_json(w));
+
+  PreferenceLearner victim(pool_5d(6, rng), options, 9);
+  victim.run(oracle, 2);
+  const std::string before = victim.snapshot().dump();
+  EXPECT_THROW(victim.restore(bad), pamo::Error);
+  EXPECT_EQ(victim.snapshot().dump(), before);
+}
+
+obs::json::Value read_fixture(const std::string& name) {
+  std::ifstream in(std::string(PAMO_TEST_FIXTURE_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "missing fixture " << name;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return obs::json::Value::parse(bytes.str());
+}
+
+void expect_lower_triangle(const la::Matrix& derived,
+                           const la::Matrix& stored) {
+  ASSERT_EQ(derived.rows(), stored.rows());
+  for (std::size_t i = 0; i < stored.rows(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      EXPECT_EQ(bits(derived(i, j)), bits(stored(i, j)));
+    }
+  }
+}
+
+// tests/fixtures/pref_learner_v1.json was written by the snapshot code
+// that stored both factors whole (see the fixture README for the recipe).
+TEST(PreferenceLearnerSnapshot, ReadsSnapshotsThatStoredTheFactors) {
+  const obs::json::Value legacy = read_fixture("pref_learner_v1.json");
+  const obs::json::Value& model = legacy.at("model");
+  const la::Matrix k_stored =
+      ckpt::codec::matrix_from_json(model.at("k_chol").at("lower"));
+  const la::Matrix b_stored =
+      ckpt::codec::matrix_from_json(model.at("b_chol").at("lower"));
+
+  Rng rng(77);
+  const auto pool = pool_5d(8, rng);
+  LearnerOptions options;
+  options.pairs_per_round = 20;
+  PreferenceLearner restored(pool, options, 1);
+  restored.restore(legacy);
+  expect_lower_triangle(restored.model().prior_factor()->lower(), k_stored);
+  expect_lower_triangle(restored.model().posterior_factor()->lower(),
+                        b_stored);
+
+  // The re-snapshot is the stored one minus the factor bits, and the
+  // fixture's recipe rerun by this build reaches exactly that state.
+  obs::json::Value expected = legacy;
+  for (const char* key : {"k_chol", "b_chol"}) {
+    obs::json::Value factor = obs::json::Value::object();
+    factor.set("jitter", model.at(key).at("jitter"));
+    expected.at("model").set(key, factor);
+  }
+  const obs::json::Value again = restored.snapshot();
+  EXPECT_EQ(again.at("model").at("k_chol").find("lower"), nullptr);
+  EXPECT_EQ(again.at("model").at("b_chol").find("lower"), nullptr);
+  EXPECT_EQ(again.dump(), expected.dump());
+  PreferenceLearner rerun(pool, options, 31);
+  PreferenceOracle oracle(BenefitFunction::uniform());
+  rerun.run(oracle, 5);
+  EXPECT_EQ(rerun.snapshot().dump(), expected.dump());
+
+  // One ULP off in either stored factor is rejected without a trace.
+  for (const char* key : {"k_chol", "b_chol"}) {
+    la::Matrix off = ckpt::codec::matrix_from_json(model.at(key).at("lower"));
+    off(5, 2) = std::nextafter(off(5, 2), std::numeric_limits<double>::max());
+    obs::json::Value factor = obs::json::Value::object();
+    factor.set("lower", ckpt::codec::matrix_to_json(off));
+    factor.set("jitter", model.at(key).at("jitter"));
+    obs::json::Value mangled = legacy;
+    mangled.at("model").set(key, factor);
+    PreferenceLearner victim(pool, options, 1);
+    const std::string before = victim.snapshot().dump();
+    EXPECT_THROW(victim.restore(mangled), pamo::Error) << key;
+    EXPECT_EQ(victim.snapshot().dump(), before) << key;
+  }
 }
 
 }  // namespace
